@@ -115,7 +115,7 @@ func BenchmarkFig3aMicrobenchVariants(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			var vs, noopt, opt time.Duration
+			var vs, noopt, opt, merge time.Duration
 			maxM := 0
 			for _, r := range rows {
 				if r.M > maxM {
@@ -133,11 +133,16 @@ func BenchmarkFig3aMicrobenchVariants(b *testing.B) {
 					noopt = r.Median
 				case "VMIS-kNN":
 					opt = r.Median
+				case "VMIS-kNN-merge":
+					merge = r.Median
 				}
 			}
 			if opt > 0 {
 				b.ReportMetric(float64(vs)/float64(opt), "speedup-vs-vsknn")
 				b.ReportMetric(float64(noopt)/float64(opt), "speedup-vs-noopt")
+			}
+			if merge > 0 {
+				b.ReportMetric(float64(opt)/float64(merge), "merge-speedup-vs-heap")
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package compressed
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"serenade/internal/core"
@@ -12,9 +13,27 @@ import (
 
 func sourceIndex(t testing.TB, seed int64, capacity int) *core.Index {
 	t.Helper()
+	return buildSource(t, seed, capacity, false)
+}
+
+// buildSource indexes the small synthetic profile. With ties set, every
+// timestamp is rounded down to the hour first, so runs of sessions share
+// their time and recency falls back to the session id; rounding is
+// monotone, so ids still ascend with time.
+func buildSource(t testing.TB, seed int64, capacity int, ties bool) *core.Index {
+	t.Helper()
 	ds, err := synth.Generate(synth.Small(seed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ties {
+		for i := range ds.Sessions {
+			s := &ds.Sessions[i]
+			s.Times = slices.Clone(s.Times)
+			for j := range s.Times {
+				s.Times[j] -= s.Times[j] % 3600
+			}
+		}
 	}
 	idx, err := core.BuildIndex(ds, capacity)
 	if err != nil {
@@ -81,24 +100,27 @@ func TestCompressionShrinksFootprint(t *testing.T) {
 
 // TestRecommenderMatchesCore is the headline property: the compressed
 // executor returns exactly the same neighbours and recommendations as the
-// uncompressed one, across parameter settings and random queries.
+// uncompressed one, across parameter settings and random queries, on
+// timestamps that are unique and on timestamps tied in hour-long runs.
 func TestRecommenderMatchesCore(t *testing.T) {
-	src := sourceIndex(t, 3, 0)
-	c := FromIndex(src)
-	for _, p := range []core.Params{
-		{M: 10, K: 5},
-		{M: 100, K: 50},
-		{M: 500, K: 100, DisableEarlyStopping: true, HeapArity: 2},
-	} {
-		ref, err := core.NewRecommender(src, p)
-		if err != nil {
-			t.Fatal(err)
+	for _, ties := range []bool{false, true} {
+		src := buildSource(t, 3, 0, ties)
+		c := FromIndex(src)
+		for _, p := range []core.Params{
+			{M: 10, K: 5},
+			{M: 100, K: 50},
+			{M: 500, K: 100, DisableEarlyStopping: true, HeapArity: 2},
+		} {
+			ref, err := core.NewRecommender(src, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := NewRecommender(c, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, ref, comp, int64(p.M))
 		}
-		comp, err := NewRecommender(c, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, ref, comp, int64(p.M))
 	}
 }
 

@@ -3,121 +3,59 @@ package core
 import (
 	"slices"
 
-	"serenade/internal/dheap"
 	"serenade/internal/sessions"
 )
 
-// BatchRecommender executes up to B concurrent VMIS-kNN queries as one batch,
-// walking each CSR posting list once per distinct (recency round, item) pair
-// across the whole batch instead of once per request. Concurrent sessions in
-// production traffic overlap heavily in their recent items (trending
-// products, flash sales), so the batch amortises the posting-arena cache
-// misses — the dominant cost of the intersection loop — across every request
-// that shares an item, while each request keeps its own epoch-stamped
-// candidate table.
+// BatchRecommender executes up to B concurrent VMIS-kNN queries as one batch.
+// Each distinct query runs the single-query kernel once; identical queries in
+// one batch (duplicate-burst traffic) are computed once and share the
+// canonical lane's result slice. Because every lane runs exactly the
+// Recommend code path, BatchRecommend is bit-identical to per-request
+// Recommend in both float64 and float32 modes by construction (pinned by
+// TestBatchRecommendMatchesSingle).
 //
-// Exactness is by construction, not by tolerance. A lane's output depends on
-// the order its postings are consumed (float64 accumulation order, and the
-// strictly-greater timestamp test of the eviction rule), so the batch
-// schedules work round-major: round r visits every lane's r-th most recent
-// item, lanes whose round-r items coincide share one walk of that posting
-// list, and each posting entry is applied to every sharing lane through the
-// same consumePosting method the single-query path runs. Every lane therefore
-// consumes exactly the (item, posting) sequence the single-query path would,
-// in the same order, against private candidate state — so BatchRecommend is
-// bit-identical to per-request Recommend in both float64 and float32 modes
-// (pinned by TestBatchRecommendMatchesSingle).
-//
-// Identical queries in one batch (duplicate-burst traffic) are computed once:
-// lanes whose truncated sessions are equal share the canonical lane's result
-// slice.
-//
-// Scoring (the second phase) runs lane-serial through one shared item-score
-// accumulator, so batch memory is O(B·M + numItems), not O(B·numItems).
+// The batch owns one Recommender plus a result buffer per lane, so batch
+// memory is O(M + numItems + B·n), not O(B·numItems).
 //
 // A BatchRecommender reuses internal buffers across calls and is NOT safe for
 // concurrent use; the serving layer pools one per worker. Results alias those
 // buffers (and duplicates alias each other) and are valid, read-only, until
 // the next call.
 type BatchRecommender struct {
-	idx *Index
-	p   Params
-
-	lanes   []*batchLane
-	acc     *itemAccumulator
-	walkers []*batchLane
+	rec     *Recommender
+	queries [][]sessions.ItemID // truncated query of each lane
+	outs    [][]ScoredItem      // per-lane result storage
 	results [][]ScoredItem
-}
-
-// batchLane is the per-request slot of a batch: a private candidate kernel
-// plus the round-walk bookkeeping.
-type batchLane struct {
-	rec    *Recommender
-	query  []sessions.ItemID // truncated evolving session
-	length int
-	canon  int // lane computing this query (itself when unique)
-
-	// Per-group walk state: the lane's decay weight and 1-based position for
-	// the item being walked, and whether it is still consuming postings
-	// (early stopping clears it).
-	pi      float64
-	pos     int
-	walking bool
-	grouped bool // lane already handled in the current round
 }
 
 // NewBatchRecommender validates the parameters and returns a batch executor
 // pre-sized for maxBatch lanes (further lanes are grown on demand). Like
 // NewRecommender it is bound to one index generation.
 func NewBatchRecommender(idx *Index, p Params, maxBatch int) (*BatchRecommender, error) {
-	proto, err := NewRecommender(idx, p)
+	rec, err := NewRecommender(idx, p)
 	if err != nil {
 		return nil, err
 	}
-	b := &BatchRecommender{idx: idx, p: proto.p, acc: proto.acc}
-	b.lanes = append(b.lanes, &batchLane{rec: proto})
-	for len(b.lanes) < maxBatch {
-		b.addLane()
-	}
-	return b, nil
-}
-
-// addLane appends one more per-request candidate kernel. The item-score
-// accumulator is shared (scoring is lane-serial), so a lane costs O(M), not
-// O(numItems).
-func (b *BatchRecommender) addLane() {
-	p := b.p
-	r := &Recommender{
-		idx:  b.idx,
-		p:    p,
-		tab:  newProbeTable(p.M),
-		seen: make([]sessions.ItemID, 0, p.MaxSessionLength),
-		acc:  b.acc,
-	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
-	b.lanes = append(b.lanes, &batchLane{rec: r})
+	return &BatchRecommender{
+		rec:     rec,
+		queries: make([][]sessions.ItemID, 0, maxBatch),
+		outs:    make([][]ScoredItem, maxBatch),
+		results: make([][]ScoredItem, 0, maxBatch),
+	}, nil
 }
 
 // Params returns the batch recommender's (defaulted) parameters.
-func (b *BatchRecommender) Params() Params { return b.p }
+func (b *BatchRecommender) Params() Params { return b.rec.p }
 
 // Index returns the underlying index.
-func (b *BatchRecommender) Index() *Index { return b.idx }
+func (b *BatchRecommender) Index() *Index { return b.rec.idx }
 
-// Lanes reports the number of allocated per-request kernels.
-func (b *BatchRecommender) Lanes() int { return len(b.lanes) }
-
-// MemoryFootprint estimates the batch executor's buffer size in bytes:
-// O(B·M) of per-lane candidate state plus one O(numItems) shared accumulator.
+// MemoryFootprint estimates the batch executor's buffer size in bytes: one
+// recommender's kernel buffers plus the per-lane result buffers.
 func (b *BatchRecommender) MemoryFootprint() int64 {
-	total := b.acc.footprint()
-	for _, ln := range b.lanes {
-		r := ln.rec
-		total += r.tab.footprint()
-		total += int64(cap(r.seen)) * 4
-		total += int64(b.p.M) * 16         // bt heap storage
-		total += int64(cap(r.nbrBuf)) * 32 // neighbour collect buffer
-		total += int64(cap(r.outBuf)) * 16 // per-lane output buffer
+	total := b.rec.MemoryFootprint()
+	for _, out := range b.outs {
+		total += int64(cap(out)) * 16
 	}
 	return total
 }
@@ -137,122 +75,25 @@ func (b *BatchRecommender) BatchRecommend(batch [][]sessions.ItemID, n int) [][]
 	if n <= 0 || len(batch) == 0 {
 		return res
 	}
-	for len(b.lanes) < len(batch) {
-		b.addLane()
+	for len(b.outs) < len(batch) {
+		b.outs = append(b.outs, nil)
 	}
-
-	// Lane assignment + in-batch dedup: a lane whose truncated query equals
-	// an earlier canonical lane's just borrows that lane's result.
-	maxRounds := 0
+	queries := b.queries[:0]
 	for i, evolving := range batch {
-		ln := b.lanes[i]
-		ln.query, ln.length, ln.canon = nil, 0, i
-		if len(evolving) == 0 {
+		q := b.rec.truncate(evolving)
+		queries = append(queries, q)
+		if len(q) == 0 {
 			continue
 		}
-		q := ln.rec.truncate(evolving)
-		ln.query, ln.length = q, len(q)
-		for k := 0; k < i; k++ {
-			if prev := b.lanes[k]; prev.canon == k && slices.Equal(prev.query, q) {
-				ln.canon = k
-				break
-			}
-		}
-		if ln.canon != i {
-			continue
-		}
-		ln.rec.resetCandidates()
-		if ln.length > maxRounds {
-			maxRounds = ln.length
+		// The first earlier lane with an equal query computed it already.
+		dup := slices.IndexFunc(queries[:i], func(prev []sessions.ItemID) bool { return slices.Equal(prev, q) })
+		if dup >= 0 {
+			res[i] = res[dup]
+		} else if out := b.rec.Recommend(q, n); out != nil {
+			b.outs[i] = append(b.outs[i][:0], out...)
+			res[i] = b.outs[i]
 		}
 	}
-
-	// Phase 1, round-major intersection: round r visits each lane's r-th most
-	// recent item (1-based evolving position length−r+1), so every lane sees
-	// its own items in exactly the single-query order while lanes that agree
-	// on the round's item share one walk of its posting list.
-	for round := 1; round <= maxRounds; round++ {
-		for i := range batch {
-			b.lanes[i].grouped = false
-		}
-		for i := range batch {
-			ln := b.lanes[i]
-			if ln.canon != i || round > ln.length || ln.grouped {
-				continue
-			}
-			ln.grouped = true
-			item := ln.query[ln.length-round]
-
-			walkers := b.walkers[:0]
-			if b.joinWalk(ln, item, round) {
-				walkers = append(walkers, ln)
-			}
-			for j := i + 1; j < len(batch); j++ {
-				lj := b.lanes[j]
-				if lj.canon != j || round > lj.length || lj.grouped {
-					continue
-				}
-				if lj.query[lj.length-round] != item {
-					continue
-				}
-				lj.grouped = true
-				if b.joinWalk(lj, item, round) {
-					walkers = append(walkers, lj)
-				}
-			}
-			b.walkers = walkers // retain grown storage
-
-			if len(walkers) == 0 {
-				continue
-			}
-			remaining := len(walkers)
-			for _, sid := range b.idx.Postings(item) {
-				for _, w := range walkers {
-					if !w.walking {
-						continue
-					}
-					if !w.rec.consumePosting(sid, w.pi, w.pos) {
-						w.walking = false
-						remaining--
-					}
-				}
-				if remaining == 0 {
-					break
-				}
-			}
-		}
-	}
-
-	// Phase 2, lane-serial top-k + scoring through the shared accumulator —
-	// the same collect/score code the single-query path runs, so outputs
-	// match it bit for bit.
-	for i := range batch {
-		ln := b.lanes[i]
-		if ln.canon != i || ln.length == 0 {
-			continue
-		}
-		res[i] = ln.rec.ScoreNeighbors(ln.rec.collectTopNeighbors(), n)
-	}
-	for i := range batch {
-		if c := b.lanes[i].canon; c != i {
-			res[i] = res[c]
-		}
-	}
+	b.queries = queries // retain grown storage
 	return res
-}
-
-// joinWalk applies the per-lane duplicate-item check for the round's item and
-// primes the lane's walk state (decay weight, position). It mirrors the head
-// of the single-query intersection loop: a duplicate item keeps only its most
-// recent position, and the seen list records the item whether or not its
-// posting list is empty.
-func (b *BatchRecommender) joinWalk(ln *batchLane, item sessions.ItemID, round int) bool {
-	if ln.rec.seenBefore(item) {
-		return false
-	}
-	ln.rec.seen = append(ln.rec.seen, item)
-	ln.pos = ln.length - round + 1
-	ln.pi = b.p.Decay(ln.pos, ln.length)
-	ln.walking = true
-	return true
 }

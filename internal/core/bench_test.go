@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"serenade/internal/sessions"
+	"serenade/internal/synth"
 )
 
 // Hot-path microbenchmarks for the dense scoring kernel, with the retained
@@ -222,4 +224,75 @@ func TestRecommendSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state NeighborSessions allocates %.1f times per op, want 0", allocs)
 	}
+}
+
+// The perfbench fixture (perfbench/fixture.go): the ecom-60m-sim profile
+// under seed 1, the newest two days held out as queries, the rest indexed at
+// posting capacity 500, queried at the server's defaults. Sharing it lets
+// kernel microbenchmarks and socket-to-socket runs be read side by side.
+const (
+	fixtureProfile  = "ecom-60m-sim"
+	fixtureSeed     = 1
+	fixtureHeldOut  = 2
+	fixtureCapacity = 500
+)
+
+// benchFixture is the indexed history and the held-out query prefixes.
+type benchFixture struct {
+	idx      *Index
+	prefixes [][]sessions.ItemID
+}
+
+var loadFixture = sync.OnceValues(func() (*benchFixture, error) {
+	cfg, err := synth.Profile(fixtureProfile)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed = fixtureSeed
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sp := sessions.TemporalSplit(ds, fixtureHeldOut)
+	idx, err := BuildIndex(sessions.Renumber(sp.Train), fixtureCapacity)
+	if err != nil {
+		return nil, err
+	}
+	f := &benchFixture{idx: idx}
+	for _, s := range sp.Test.Sessions {
+		for j := range s.Items {
+			f.prefixes = append(f.prefixes, s.Items[:j+1])
+		}
+	}
+	return f, nil
+})
+
+// BenchmarkRecommendFixture runs the kernel over every held-out prefix of
+// the perfbench fixture at M=K=500, n=21; one op is one query, cycling
+// through the prefixes in session order.
+func BenchmarkRecommendFixture(b *testing.B) {
+	f, err := loadFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefixes := f.prefixes
+	r, err := NewRecommender(f.idx, Params{M: 500, K: 500})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range prefixes {
+		r.Recommend(q, 21) // warm buffer growth out of the measurement
+	}
+	b.Run("NeighborSessions", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.NeighborSessions(prefixes[i%len(prefixes)])
+		}
+	})
+	b.Run("Recommend", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Recommend(prefixes[i%len(prefixes)], 21)
+		}
+	})
 }

@@ -280,8 +280,13 @@ func TestNoOptVariantSameResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The ablation knobs only change the heap-based reference kernel; its
+	// no-opt variant must still agree with the merge kernel.
 	opt := mustRecommender(t, idx, Params{M: 20, K: 10})
-	noopt := mustRecommender(t, idx, Params{M: 20, K: 10, HeapArity: 2, DisableEarlyStopping: true})
+	noopt, err := NewReferenceRecommender(idx, Params{M: 20, K: 10, HeapArity: 2, DisableEarlyStopping: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
 		evolving := randomEvolving(rng, 50)
@@ -340,11 +345,77 @@ func TestNewIndexFromPartsValidation(t *testing.T) {
 	if _, err := NewIndexFromParts(times, [][]sessions.SessionID{{0, 1}}, sessionItems, df, 0); err == nil {
 		t.Error("ascending posting order accepted")
 	}
+	// a repeated session id is not strictly descending, even though its
+	// timestamps are trivially in order
+	if _, err := NewIndexFromParts(times, [][]sessions.SessionID{{1, 1}}, sessionItems, df, 0); err == nil {
+		t.Error("duplicate posting accepted")
+	}
+	// equal timestamps may appear in any id order in a valid index, so only
+	// the id order can pin the list order
+	tied := []int64{100, 100}
+	if _, err := NewIndexFromParts(tied, goodPostings, sessionItems, df, 0); err != nil {
+		t.Errorf("tied timestamps rejected: %v", err)
+	}
+	if _, err := NewIndexFromParts(tied, [][]sessions.SessionID{{0, 1}}, sessionItems, df, 0); err == nil {
+		t.Error("ascending posting order over tied timestamps accepted")
+	}
+	// timestamps must not decrease with the session id
+	if _, err := NewIndexFromParts([]int64{200, 100}, goodPostings, sessionItems, df, 0); err == nil {
+		t.Error("timestamps decreasing by session id accepted")
+	}
+}
+
+// TestRecencyTiesBreakBySessionID pins the total recency order: when the
+// sessions sharing the boundary timestamp do not all fit in the sample, the
+// larger session ids are the more recent ones and win, whichever posting
+// list reaches them first, and equal similarities rank the larger id first.
+func TestRecencyTiesBreakBySessionID(t *testing.T) {
+	// Sessions 0-1 end at t=10 and sessions 2-5 at t=20. Item 1's list is
+	// [5 2] and item 2's is [4 3]: a time-only rule walking item 1 first
+	// keeps 2 and then rejects 3, although 3 is the more recent.
+	items := []sessions.ItemID{9, 9, 1, 2, 2, 1}
+	var ss []sessions.Session
+	for i, it := range items {
+		tm := int64(10)
+		if i >= 2 {
+			tm = 20
+		}
+		ss = append(ss, sessions.Session{ID: sessions.SessionID(i), Items: []sessions.ItemID{it}, Times: []int64{tm}})
+	}
+	idx := mustIndex(t, sessions.FromSessions("ties", ss), 0)
+	p := Params{M: 3, K: 3}
+	ref, err := NewReferenceRecommender(idx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := []sessions.ItemID{2, 1}
+	want := []sessions.SessionID{5, 4, 3}
+	for name, got := range map[string][]Neighbor{
+		"merge":     mustRecommender(t, idx, p).NeighborSessions(query),
+		"reference": ref.NeighborSessions(query),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d neighbours, want %d", name, len(got), len(want))
+		}
+		for i, nb := range got {
+			if nb.ID != want[i] {
+				t.Errorf("%s: neighbour %d is session %d, want %d", name, i, nb.ID, want[i])
+			}
+		}
+	}
 }
 
 // randomDataset builds a dataset of n sessions over an item vocabulary with
 // strictly increasing timestamps (so recency tie-breaks are deterministic).
 func randomDataset(rng *rand.Rand, n, vocab int) *sessions.Dataset {
+	return makeDataset(rng, n, vocab, false)
+}
+
+// makeDataset is randomDataset, or with ties set a variant with coarse
+// timestamps: the clock advances on one click in eight, so runs of sessions
+// end at the same timestamp and the recency order must fall back to the
+// session id — the case unique ticks never produce.
+func makeDataset(rng *rand.Rand, n, vocab int, ties bool) *sessions.Dataset {
 	var ss []sessions.Session
 	tick := int64(1000)
 	for i := 0; i < n; i++ {
@@ -353,7 +424,9 @@ func randomDataset(rng *rand.Rand, n, vocab int) *sessions.Dataset {
 		times := make([]int64, length)
 		for j := range items {
 			items[j] = sessions.ItemID(rng.Intn(vocab))
-			tick++
+			if !ties || rng.Intn(8) == 0 {
+				tick++
+			}
 			times[j] = tick
 		}
 		ss = append(ss, sessions.Session{ID: sessions.SessionID(i), Items: items, Times: times})

@@ -12,8 +12,8 @@ import (
 // Index is the VMIS-kNN session similarity index (M, t) of §3:
 //
 //   - a posting list M mapping each item to the identifiers of the most
-//     recent historical sessions containing it, in descending session
-//     timestamp order and truncated to the index capacity, giving amortised
+//     recent historical sessions containing it, in strictly descending
+//     session id order and truncated to the index capacity, giving amortised
 //     constant-time access to the m most recent sessions per item;
 //   - a dense timestamp array t giving constant-time random access to the
 //     timestamp of any historical session;
@@ -23,9 +23,10 @@ import (
 //
 // Historical session identifiers are consecutive integers assigned in
 // ascending timestamp order (see sessions.Renumber), so a session id doubles
-// as an index into the timestamp array and ordering by id equals ordering by
-// recency. An Index is immutable after construction and safe for concurrent
-// readers.
+// as an index into the timestamp array, and ordering by id equals ordering
+// by recency — the total order (time, then id) every kernel uses, with the
+// id breaking timestamp ties. An Index is immutable after construction and
+// safe for concurrent readers.
 //
 // The variable-length collections (posting lists, per-session item sets) are
 // stored in CSR (compressed sparse row) form: one flat data array per
@@ -266,7 +267,8 @@ func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionIt
 // zero-copy constructor behind the v2 file format: the slices may alias an
 // mmap region described by arena, and nothing is copied. It validates every
 // structural invariant Recommend relies on (offset monotonicity and bounds,
-// posting ids in range and in descending timestamp order, item ids in range,
+// timestamps non-decreasing by session id, posting ids in range and strictly
+// descending — the order the neighbour merge consumes — item ids in range,
 // plausible document frequencies, the posting remap a permutation) without
 // allocating — except a transient row-seen bitmap when a remap is present —
 // so a file-backed load stays O(1) in allocations no matter how large the
@@ -283,6 +285,11 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 	}
 	if c.IDF != nil && len(c.IDF) != numItems {
 		return nil, fmt.Errorf("core: idf (%d) disagrees with item count %d", len(c.IDF), numItems)
+	}
+	for s := 1; s < numSessions; s++ {
+		if c.Times[s] < c.Times[s-1] {
+			return nil, fmt.Errorf("core: session %d is older than its predecessor: timestamps must not decrease with session id", s)
+		}
 	}
 	if err := checkOffsets(c.PostingOffsets, len(c.PostingData), "posting"); err != nil {
 		return nil, err
@@ -323,8 +330,8 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 			if int(sid) >= numSessions {
 				return nil, fmt.Errorf("core: posting list of item %d references unknown session %d", item, sid)
 			}
-			if k > lo && c.Times[c.PostingData[k-1]] < c.Times[sid] {
-				return nil, fmt.Errorf("core: posting list of item %d is not in descending timestamp order", item)
+			if k > lo && c.PostingData[k-1] <= sid {
+				return nil, fmt.Errorf("core: posting list of item %d is not in strictly descending session-id order", item)
 			}
 		}
 	}

@@ -2,223 +2,38 @@ package core
 
 import "serenade/internal/sessions"
 
-// This file implements the dense, epoch-stamped data structures behind the
-// zero-allocation VMIS-kNN query kernel (see DESIGN.md, "Dense scoring
-// kernel"). The index hands out dense integer session and item identifiers,
-// so the per-query temporaries of Algorithm 2 need none of the hashing,
-// bucket chasing, and incremental growth of Go's built-in maps:
-//
-//   - the candidate accumulator r (session -> similarity-in-progress) becomes
-//     a fixed-size open-addressed probe table of 2·M slots — O(M), NOT
-//     O(numSessions), since an index can hold 10⁸ sessions while M stays in
-//     the hundreds and the table stays cache-resident;
-//   - the item score accumulator becomes a flat []float64 over the dense
-//     item-id space with a touched-list for sparse O(hits) reset;
-//   - per-query clearing is an epoch-stamp bump instead of an O(size) wipe.
-
-// probeSlot is one entry of the candidate probe table: the accumulator state
-// of the map r of Algorithm 2 for one candidate session.
-type probeSlot struct {
-	key    sessions.SessionID
-	stamp  uint32 // slot is live iff stamp == table epoch
-	maxPos int32
-	score  float64
-}
-
-// probeSlotBytes is the in-memory size of a probeSlot, for footprint
-// accounting (4+4+4 bytes of fields padded to 8-byte alignment of score).
-const probeSlotBytes = 24
-
-// probeTable is a fixed-capacity open-addressed hash table from session id
-// to accumulator state, using linear probing with backward-shift deletion.
-// It holds at most maxLive entries in a power-of-two slot array at least
-// twice that size, so probe chains stay short and there is always an empty
-// slot to terminate scans. Clearing is O(1): bumping the epoch invalidates
-// every slot's stamp at once (with a full stamp wipe only on the ~4-billion
-// query epoch wraparound).
-type probeTable struct {
-	slots   []probeSlot
-	mask    uint32
-	shift   uint32 // 64 - log2(len(slots)), for the multiplicative hash
-	epoch   uint32
-	live    int
-	maxLive int
-}
-
-// newProbeTable sizes the table for at most maxLive simultaneous entries:
-// the next power of two ≥ 2·maxLive (minimum 4 slots).
-func newProbeTable(maxLive int) *probeTable {
-	size := 4
-	shift := uint32(62)
-	for size < 2*maxLive {
-		size <<= 1
-		shift--
-	}
-	return &probeTable{
-		slots:   make([]probeSlot, size),
-		mask:    uint32(size - 1),
-		shift:   shift,
-		epoch:   1,
-		maxLive: maxLive,
-	}
-}
-
-// home is the preferred slot of a key: a Fibonacci multiplicative hash
-// folded into the table's power-of-two range.
-func (t *probeTable) home(key sessions.SessionID) uint32 {
-	return uint32((uint64(key) * 0x9E3779B97F4A7C15) >> t.shift)
-}
-
-// reset invalidates all entries in O(1) by starting a new epoch.
-func (t *probeTable) reset() {
-	t.epoch++
-	if t.epoch == 0 {
-		// Wrapped: stale stamps could collide with the restarted epoch
-		// sequence, so wipe them once and skip the never-live value 0.
-		for i := range t.slots {
-			t.slots[i].stamp = 0
-		}
-		t.epoch = 1
-	}
-	t.live = 0
-}
-
-// len reports the number of live entries.
-func (t *probeTable) len() int { return t.live }
-
-// find returns the live slot holding key, or nil. The pointer is valid until
-// the next insert or delete.
-func (t *probeTable) find(key sessions.SessionID) *probeSlot {
-	i := t.home(key)
-	for {
-		sl := &t.slots[i]
-		if sl.stamp != t.epoch {
-			return nil
-		}
-		if sl.key == key {
-			return sl
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insert adds an absent key with its initial accumulator state. The caller
-// must ensure key is not present and the table holds fewer than maxLive
-// entries (the M-bounded candidate loop guarantees both).
-func (t *probeTable) insert(key sessions.SessionID, score float64, maxPos int32) {
-	i := t.home(key)
-	for t.slots[i].stamp == t.epoch {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i] = probeSlot{key: key, stamp: t.epoch, maxPos: maxPos, score: score}
-	t.live++
-}
-
-// delete removes a key using backward-shift deletion, which preserves the
-// linear-probing invariant without tombstones: entries after the vacated
-// slot are shifted back unless that would move them before their home slot.
-func (t *probeTable) delete(key sessions.SessionID) {
-	i := t.home(key)
-	for {
-		sl := &t.slots[i]
-		if sl.stamp != t.epoch {
-			return // absent; cannot happen for the eviction call-site
-		}
-		if sl.key == key {
-			break
-		}
-		i = (i + 1) & t.mask
-	}
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		sl := &t.slots[j]
-		if sl.stamp != t.epoch {
-			break
-		}
-		// The entry at j may fill slot i only if its home does not lie in
-		// the cyclic interval (i, j] — otherwise the move would place it
-		// before its home and break lookups.
-		h := t.home(sl.key)
-		var movable bool
-		if i <= j {
-			movable = h <= i || h > j
-		} else {
-			movable = h <= i && h > j
-		}
-		if movable {
-			t.slots[i] = *sl
-			i = j
-		}
-	}
-	t.slots[i].stamp = t.epoch - 1 // any value != epoch marks the slot empty
-	t.live--
-}
-
-// footprint reports the table's in-memory size in bytes.
-func (t *probeTable) footprint() int64 {
-	return int64(len(t.slots)) * probeSlotBytes
-}
+// This file holds the dense data structures and total orders behind the
+// zero-allocation VMIS-kNN query kernel (see DESIGN.md §7). The index hands
+// out dense integer item identifiers, so the item score accumulator of
+// Algorithm 2 needs none of the hashing, bucket chasing and incremental
+// growth of Go's built-in maps: it is a flat []float64 over the dense
+// item-id space with a touched-list for sparse O(hits) reset.
 
 // neighborBetter reports whether a ranks strictly before b in the descending
-// neighbour order: higher similarity first, and the more recent session
-// first on equal similarity — the same total order the reference path's
-// bounded heap realises (Algorithm 2 lines 37-38).
+// neighbour order: higher similarity first, then the more recent session —
+// later time, then larger session id. Recency is the same total order
+// (time, id) everywhere a kernel compares sessions, which is what makes the
+// merge kernel and the heap-based reference select and rank identically
+// (Algorithm 2 lines 37-38, with the id tiebreak).
 func neighborBetter(a, b Neighbor) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	return a.Time > b.Time
+	if a.Time != b.Time {
+		return a.Time > b.Time
+	}
+	return a.ID > b.ID
 }
 
-// selectTopNeighbors partially partitions ns so its first k elements are the
-// k best under neighborBetter, in arbitrary order (quickselect with
-// median-of-three pivots). The kernel uses it instead of a bounded heap:
-// selecting k of m candidates costs O(m + k log k) comparisons through a
-// direct (inlinable) comparison instead of O(m log k) through a heap's
-// indirect less function, and the profile shows the top-k stage — not the
-// intersection loop — dominates once the accumulators are dense.
-func selectTopNeighbors(ns []Neighbor, k int) {
-	lo, hi := 0, len(ns)-1
-	for lo < hi {
-		p := partitionNeighbors(ns, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
+// compareNeighbors is neighborBetter as a slices.SortFunc comparison.
+func compareNeighbors(a, b Neighbor) int {
+	switch {
+	case neighborBetter(a, b):
+		return -1
+	case neighborBetter(b, a):
+		return 1
 	}
-}
-
-// partitionNeighbors partitions ns[lo:hi+1] around a median-of-three pivot
-// and returns the pivot's final index: everything before it ranks better,
-// everything after it ranks no better.
-func partitionNeighbors(ns []Neighbor, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	if neighborBetter(ns[mid], ns[lo]) {
-		ns[lo], ns[mid] = ns[mid], ns[lo]
-	}
-	if neighborBetter(ns[hi], ns[mid]) {
-		ns[mid], ns[hi] = ns[hi], ns[mid]
-		if neighborBetter(ns[mid], ns[lo]) {
-			ns[lo], ns[mid] = ns[mid], ns[lo]
-		}
-	}
-	// ns[mid] now holds the median of the three; use it as the pivot.
-	ns[mid], ns[hi] = ns[hi], ns[mid]
-	pivot := ns[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if neighborBetter(ns[j], pivot) {
-			ns[i], ns[j] = ns[j], ns[i]
-			i++
-		}
-	}
-	ns[i], ns[hi] = ns[hi], ns[i]
-	return i
+	return 0
 }
 
 // scoredItemBetter reports whether a ranks strictly before b in the output
@@ -231,10 +46,11 @@ func scoredItemBetter(a, b ScoredItem) bool {
 	return a.Item < b.Item
 }
 
-// selectTopScoredItems is selectTopNeighbors for the output stage: it
-// partially partitions out so its first n elements are the n best under
-// scoredItemBetter. (Specialised rather than generic so the comparison
-// inlines into the partition loop.)
+// selectTopScoredItems partially partitions out so its first n elements are
+// the n best under scoredItemBetter, in arbitrary order (quickselect with
+// median-of-three pivots): selecting n of m scored items costs O(m + n log n)
+// comparisons through a direct, inlinable comparison instead of O(m log n)
+// through a heap's indirect less function.
 func selectTopScoredItems(out []ScoredItem, n int) {
 	lo, hi := 0, len(out)-1
 	for lo < hi {

@@ -66,18 +66,24 @@ type Params struct {
 	MatchWeight MatchWeightFunc
 	// HeapArity is the branching factor of the recency and top-k heaps.
 	// The paper uses octonary heaps (8) as a micro-optimisation; the
-	// VMIS-kNN-no-opt baseline uses binary heaps (2). Zero means 8.
+	// VMIS-kNN-no-opt baseline uses binary heaps (2). Zero means 8. It
+	// applies only to the heap-based kernels (ReferenceRecommender and the
+	// compressed and incremental recommenders); Recommender merges posting
+	// lists and has no heap, so it ignores the field.
 	HeapArity int
 	// DisableEarlyStopping turns off the posting-list early-stop
 	// optimisation; used only by the VMIS-kNN-no-opt baseline of §5.1.3.
+	// Like HeapArity it applies only to the heap-based kernels: the merge
+	// in Recommender reads each list only as far as the M-th distinct
+	// session, and its result does not depend on the field.
 	DisableEarlyStopping bool
 	// Float32Scores switches the item-score accumulator from float64 to
 	// float32, halving its footprint and memory traffic. Scores keep ~7
 	// significant digits — outside the kernel's 1e-12 differential pinning
 	// but far below any rank-relevant score gap on real data; batch and
 	// single-query execution remain bit-identical to each other either way
-	// because they apply contributions in the same order. Leave false for
-	// the exact float64 path.
+	// because a batch runs the single-query path. Leave false for the exact
+	// float64 path.
 	Float32Scores bool
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"serenade/internal/dheap"
 	"serenade/internal/sessions"
 )
 
@@ -22,38 +21,44 @@ type Neighbor struct {
 	Time int64
 }
 
-type btEntry struct {
-	id   sessions.SessionID
-	time int64
-}
-
-// Recommender executes VMIS-kNN queries against an Index using the dense,
-// epoch-stamped scoring kernel (see kernel.go): candidate accumulation runs
-// in a fixed 2·M-slot probe table, item scoring in a flat array over the
-// dense item-id space, and every per-query temporary is reused, so a
-// steady-state query performs zero heap allocations. Per-Recommender memory
-// is O(M + numItems) — independent of the number of indexed sessions.
+// Recommender executes VMIS-kNN queries against an Index. Neighbour
+// selection is a k-way merge of the tail items' posting lists (see
+// NeighborSessions); item scoring runs in a flat array over the dense
+// item-id space (see kernel.go); and every per-query temporary is reused, so
+// a steady-state query performs zero heap allocations. Per-Recommender
+// memory is O(M + numItems) — independent of the number of indexed
+// sessions.
 //
 // A Recommender reuses internal buffers across calls and is therefore NOT
 // safe for concurrent use; create one per goroutine with Clone (the index
-// itself is shared and immutable). The map-based original it replaced is
+// itself is shared and immutable). The heap-based Algorithm 2 it replaced is
 // retained as ReferenceRecommender for differential testing.
 type Recommender struct {
 	idx *Index
 	p   Params
 
-	tab    *probeTable       // candidate accumulator r of Algorithm 2
 	seen   []sessions.ItemID // distinct evolving items (duplicate check)
-	bt     *dheap.Heap[btEntry]
-	nbrBuf []Neighbor
+	curs   []postingCursor   // merge cursors, most recent evolving item first
+	nbrBuf []Neighbor        // the M most recent candidates, in merge order
+	topBuf []Neighbor        // the K best candidates, in rank order
+	bucket []uint8           // score bucket of each candidate (counting pass)
 	acc    *itemAccumulator
 	outBuf []ScoredItem
 }
 
+// postingCursor is one input of the neighbour merge: the unconsumed rest of
+// a tail item's posting list, with the item's decay weight and its 1-based
+// position in the truncated evolving session.
+type postingCursor struct {
+	list []sessions.SessionID
+	pi   float64
+	pos  int
+}
+
 // NewRecommender validates the parameters and returns a query executor. Its
-// kernel buffers are sized from the index (flat score array over the item-id
-// space) and the parameters (2·M-slot probe table), so construct it — or
-// Clone a prototype — per index generation.
+// buffers are sized from the index (flat score array over the item-id
+// space) and the parameters (M candidates), so construct it — or Clone a
+// prototype — per index generation.
 func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -62,26 +67,16 @@ func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 		return nil, errMExceedsCapacity(p.M, idx.capacity)
 	}
 	p = p.withDefaults()
-	r := &Recommender{
-		idx:  idx,
-		p:    p,
-		tab:  newProbeTable(p.M),
-		seen: make([]sessions.ItemID, 0, p.MaxSessionLength),
-		acc:  newItemAccumulator(idx.numItems, p.Float32Scores),
-	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
-	return r, nil
-}
-
-// neighborLess orders neighbours weakest-first for the bounded top-k heap:
-// lower similarity orders first; equal similarities break ties toward the
-// older session (so the more recent session is retained), per Algorithm 2
-// lines 37-38.
-func neighborLess(a, b Neighbor) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Time < b.Time
+	return &Recommender{
+		idx:    idx,
+		p:      p,
+		seen:   make([]sessions.ItemID, 0, p.MaxSessionLength),
+		curs:   make([]postingCursor, 0, p.MaxSessionLength),
+		nbrBuf: make([]Neighbor, 0, p.M),
+		topBuf: make([]Neighbor, p.K),
+		bucket: make([]uint8, p.M),
+		acc:    newItemAccumulator(idx.numItems, p.Float32Scores),
+	}, nil
 }
 
 // Clone returns an independent Recommender sharing the same immutable index,
@@ -105,16 +100,17 @@ func (r *Recommender) Index() *Index { return r.idx }
 
 // MemoryFootprint estimates the recommender's per-goroutine kernel buffer
 // size in bytes — the Index.MemoryFootprint counterpart for query state. It
-// is O(M + numItems) by construction: the probe table and heaps scale with
-// M/K, the flat score array with the item vocabulary, and nothing scales
-// with the number of indexed sessions.
+// is O(M + numItems) by construction: the merge cursors scale with the
+// session window, the candidate buffers with M and K, the flat score array
+// with the item vocabulary, and nothing with the number of indexed sessions.
 func (r *Recommender) MemoryFootprint() int64 {
 	var b int64
-	b += r.tab.footprint()
 	b += r.acc.footprint()
 	b += int64(cap(r.seen)) * 4
-	b += int64(r.p.M) * 16         // bt heap storage: btEntry{id,time}
-	b += int64(cap(r.nbrBuf)) * 32 // neighbour collect/result buffer (≤ M)
+	b += int64(cap(r.curs)) * 40   // postingCursor: slice header, pi, pos
+	b += int64(cap(r.nbrBuf)) * 32 // merge output (≤ M)
+	b += int64(cap(r.topBuf)) * 32 // ranked neighbours (≤ K)
+	b += int64(cap(r.bucket))
 	b += int64(cap(r.outBuf)) * 16 // output collect/result buffer: ScoredItem
 	return b
 }
@@ -129,7 +125,7 @@ func (r *Recommender) truncate(evolving []sessions.ItemID) []sessions.ItemID {
 }
 
 // seenBefore reports whether item already occurred (at a more recent
-// position) in this query's intersection loop. A linear scan over at most
+// position) in this query's window. A linear scan over at most
 // MaxSessionLength entries beats any hashed structure at this size and
 // allocates nothing.
 func (r *Recommender) seenBefore(item sessions.ItemID) bool {
@@ -141,118 +137,152 @@ func (r *Recommender) seenBefore(item sessions.ItemID) bool {
 	return false
 }
 
-// resetCandidates clears the per-query candidate state (probe table, seen
-// list, recency heap) ahead of an intersection loop.
-func (r *Recommender) resetCandidates() {
-	r.tab.reset()
-	r.seen = r.seen[:0]
-	r.bt.Reset()
-}
-
-// consumePosting applies one posting-list entry (candidate session j with a
-// current item weight pi at evolving position pos) to the candidate
-// accumulator — the loop body of Algorithm 2's intersection loop. It returns
-// false when the caller must stop walking this posting list (early
-// stopping): postings are sorted by descending timestamp, so once a session
-// is rejected for being older than every current candidate, every remaining
-// session in the list would be rejected too. The batch kernel shares this
-// method so a lane behaves bit-identically whether its postings are walked
-// alone or interleaved with other lanes.
-func (r *Recommender) consumePosting(j sessions.SessionID, pi float64, pos int) bool {
-	if sl := r.tab.find(j); sl != nil {
-		sl.score += pi
-		return true
-	}
-	tj := r.idx.times[j]
-	if r.tab.len() < r.p.M {
-		r.tab.insert(j, pi, int32(pos))
-		r.bt.Push(btEntry{id: j, time: tj})
-		return true
-	}
-	oldest, _ := r.bt.Peek()
-	if tj > oldest.time {
-		// Evict the oldest candidate in favour of the more recent session
-		// j. An evicted session can never re-enter: the recency heap's
-		// minimum only grows.
-		r.tab.delete(oldest.id)
-		r.tab.insert(j, pi, int32(pos))
-		r.bt.ReplaceRoot(btEntry{id: j, time: tj})
-		return true
-	}
-	return r.p.DisableEarlyStopping
-}
-
 // NeighborSessions computes the k most similar historical sessions for the
 // evolving session — the function neighbor_sessions_from_index of
 // Algorithm 2. The returned slice is ordered most similar first and is
 // valid until the next call on this Recommender.
+//
+// Algorithm 2 keeps the M most recent sessions sharing an item with the
+// evolving session, using a recency heap and early stopping. Posting lists
+// hold session ids in descending order and ids ascend with time (both
+// checked by NewIndexFromCSR), so that sample is exactly the first M
+// distinct ids of a merge of the tail items' posting lists, and no heap,
+// table or eviction is needed. See DESIGN.md §7 for the equivalence.
 func (r *Recommender) NeighborSessions(evolving []sessions.ItemID) []Neighbor {
 	s := r.truncate(evolving)
 	length := len(s)
 
-	r.resetCandidates()
-
-	// Item intersection loop: visit evolving-session items most recent
-	// first so that the first candidate hit by a session records the most
-	// recent shared item position, and so that duplicate items keep their
-	// most recent position.
+	// One cursor per distinct tail item, most recent position first: that
+	// is the order Algorithm 2 visits the lists, so a candidate's first
+	// cursor gives its most recent shared position, and summing pi in
+	// cursor order reproduces its float additions exactly.
+	r.seen = r.seen[:0]
+	curs := r.curs[:0]
 	for pos := length; pos >= 1; pos-- {
 		item := s[pos-1]
 		if r.seenBefore(item) {
 			continue
 		}
 		r.seen = append(r.seen, item)
-		postings := r.idx.Postings(item)
-		if len(postings) == 0 {
-			continue
-		}
-		pi := r.p.Decay(pos, length)
-
-		for _, j := range postings {
-			if !r.consumePosting(j, pi, pos) {
-				break
-			}
+		if postings := r.idx.Postings(item); len(postings) > 0 {
+			curs = append(curs, postingCursor{list: postings, pi: r.p.Decay(pos, length), pos: pos})
 		}
 	}
-
-	return r.collectTopNeighbors()
+	r.curs = curs
+	return r.rankNeighbors(r.mergeRecent(curs))
 }
 
-// collectTopNeighbors runs the top-k similarity loop over a filled candidate
-// table: one cache-friendly sweep over the probe table's 2·M slots stands in
-// for iterating the temporary map r, then quickselect keeps the k best and a
-// final sort orders them — the same total order the reference path's bounded
-// heap produces, at a fraction of the comparisons (see selectTopNeighbors).
-// The result aliases the reused neighbour buffer.
-func (r *Recommender) collectTopNeighbors() []Neighbor {
+// mergeRecent merges the cursors' posting lists, largest id first, until it
+// has taken M distinct sessions. The candidates come out most recent first.
+// It consumes the cursors; the result aliases the reused neighbour buffer.
+func (r *Recommender) mergeRecent(curs []postingCursor) []Neighbor {
 	ns := r.nbrBuf[:0]
-	for i := range r.tab.slots {
-		sl := &r.tab.slots[i]
-		if sl.stamp != r.tab.epoch {
-			continue
+	times := r.idx.times
+	for len(curs) > 1 && len(ns) < r.p.M {
+		id := curs[0].list[0]
+		for c := 1; c < len(curs); c++ {
+			if head := curs[c].list[0]; head > id {
+				id = head
+			}
 		}
-		ns = append(ns, Neighbor{
-			ID:     sl.key,
-			Score:  sl.score,
-			MaxPos: int(sl.maxPos),
-			Time:   r.idx.times[sl.key],
-		})
+		nb := Neighbor{ID: id, Time: times[id]}
+		exhausted := false
+		for c := range curs {
+			cu := &curs[c]
+			if cu.list[0] != id {
+				continue
+			}
+			if nb.MaxPos == 0 {
+				nb.Score, nb.MaxPos = cu.pi, cu.pos
+			} else {
+				nb.Score += cu.pi
+			}
+			cu.list = cu.list[1:]
+			exhausted = exhausted || len(cu.list) == 0
+		}
+		if exhausted {
+			curs = slices.DeleteFunc(curs, func(cu postingCursor) bool { return len(cu.list) == 0 })
+		}
+		ns = append(ns, nb)
+	}
+	// A single remaining list needs no merging: its next ids are the next
+	// candidates, each scored by that list alone.
+	if len(curs) == 1 {
+		cu := curs[0]
+		for _, id := range cu.list[:min(len(cu.list), r.p.M-len(ns))] {
+			ns = append(ns, Neighbor{ID: id, Score: cu.pi, MaxPos: cu.pos, Time: times[id]})
+		}
 	}
 	r.nbrBuf = ns // retain grown storage for the next query
-	if len(ns) > r.p.K {
-		selectTopNeighbors(ns, r.p.K)
-		ns = ns[:r.p.K]
-	}
-	slices.SortFunc(ns, func(a, b Neighbor) int {
-		if neighborBetter(a, b) {
-			return -1
-		}
-		if neighborBetter(b, a) {
-			return 1
-		}
-		return 0
-	})
 	return ns
+}
+
+// maxScoreBuckets bounds the distinct similarities rankNeighbors orders by
+// counting. A similarity is a sum of decay weights over a subset of the
+// tail items, so real queries have a few dozen at most.
+const maxScoreBuckets = 64
+
+// rankNeighbors returns the K best candidates of ns in neighborBetter order.
+// ns is most recent first, so a stable counting pass over the distinct
+// similarities yields that order without comparing candidates: equal
+// similarities keep the merge's recency order. Queries with more distinct
+// similarities than maxScoreBuckets (or a NaN one) fall back to a
+// comparison sort. The result aliases a reused buffer.
+func (r *Recommender) rankNeighbors(ns []Neighbor) []Neighbor {
+	var (
+		vals   [maxScoreBuckets]float64
+		counts [maxScoreBuckets]int
+		nv, b  int
+	)
+	bucket := r.bucket[:len(ns)]
+	for i := range ns {
+		score := ns[i].Score
+		if nv == 0 || vals[b] != score {
+			for b = 0; b < nv && vals[b] != score; b++ {
+			}
+			if b == nv {
+				if nv == maxScoreBuckets || score != score {
+					return r.sortNeighbors(ns)
+				}
+				vals[nv] = score
+				nv++
+			}
+		}
+		counts[b]++
+		bucket[i] = uint8(b)
+	}
+
+	// Order the buckets by descending similarity (insertion sort over at
+	// most maxScoreBuckets entries), then turn counts into start offsets.
+	var order, start [maxScoreBuckets]int
+	for i := 0; i < nv; i++ {
+		j := i
+		for ; j > 0 && vals[order[j-1]] < vals[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	off := 0
+	for _, o := range order[:nv] {
+		start[o] = off
+		off += counts[o]
+	}
+
+	out := r.topBuf[:min(r.p.K, len(ns))]
+	for i := range ns {
+		o := bucket[i]
+		if p := start[o]; p < len(out) {
+			out[p] = ns[i]
+			start[o] = p + 1
+		}
+	}
+	return out
+}
+
+// sortNeighbors is rankNeighbors' comparison-sort fallback.
+func (r *Recommender) sortNeighbors(ns []Neighbor) []Neighbor {
+	slices.SortFunc(ns, compareNeighbors)
+	return ns[:min(r.p.K, len(ns))]
 }
 
 // Recommend computes the top-n next-item recommendations for the evolving

@@ -6,11 +6,15 @@ import (
 )
 
 // ReferenceRecommender is the original map-based implementation of the
-// VMIS-kNN query path, retained verbatim as the differential-testing and
-// benchmarking reference for the dense kernel in Recommender: the property
-// tests prove both produce identical ranked output (including tie-breaks),
-// and the microbenchmarks quantify the kernel's win over it. It is exported
-// for tests and harnesses only — production paths should use Recommender.
+// VMIS-kNN query path — Algorithm 2 as the paper states it, with a recency
+// heap, early stopping and a bounded top-k heap — retained as the
+// differential-testing and benchmarking reference for the merge kernel in
+// Recommender: the property tests prove both produce identical ranked
+// output (including tie-breaks), and the microbenchmarks quantify the
+// kernel's win over it. It is the only kernel Params.HeapArity and
+// Params.DisableEarlyStopping change, so it also serves as the paper's
+// VMIS-kNN and VMIS-kNN-no-opt rows. It is exported for tests and harnesses
+// only — production paths should use Recommender.
 //
 // Like Recommender it reuses buffers across calls and is not safe for
 // concurrent use.
@@ -26,6 +30,27 @@ type ReferenceRecommender struct {
 	outH   *dheap.Bounded[ScoredItem]
 	outCap int
 }
+
+// btEntry is one session of the recency heap b_t.
+type btEntry struct {
+	id   sessions.SessionID
+	time int64
+}
+
+// olderThan orders recency-heap entries oldest first by the total recency
+// order (time, then session id) every kernel shares.
+func olderThan(a, b btEntry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.id < b.id
+}
+
+// neighborLess orders neighbours weakest-first for the bounded top-k heap —
+// the reverse of neighborBetter: lower similarity first, then the older
+// session, so that the more recent session is retained (Algorithm 2 lines
+// 37-38, with the id tiebreak).
+func neighborLess(a, b Neighbor) bool { return neighborBetter(b, a) }
 
 // refAccum tracks the in-progress similarity for one candidate session in
 // the temporary hashmap r of Algorithm 2.
@@ -51,7 +76,7 @@ func NewReferenceRecommender(idx *Index, p Params) (*ReferenceRecommender, error
 		dup:    make(map[sessions.ItemID]struct{}, p.MaxSessionLength),
 		scores: make(map[sessions.ItemID]float64, 256),
 	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
+	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, olderThan)
 	r.topk = dheap.NewBounded(p.HeapArity, p.K, neighborLess)
 	return r, nil
 }
@@ -88,17 +113,17 @@ func (r *ReferenceRecommender) NeighborSessions(evolving []sessions.ItemID) []Ne
 				r.r[j] = acc
 				continue
 			}
-			tj := r.idx.times[j]
+			e := btEntry{id: j, time: r.idx.times[j]}
 			if len(r.r) < r.p.M {
 				r.r[j] = refAccum{score: pi, maxPos: int32(pos)}
-				r.bt.Push(btEntry{id: j, time: tj})
+				r.bt.Push(e)
 				continue
 			}
 			oldest, _ := r.bt.Peek()
-			if tj > oldest.time {
+			if olderThan(oldest, e) {
 				delete(r.r, oldest.id)
 				r.r[j] = refAccum{score: pi, maxPos: int32(pos)}
-				r.bt.ReplaceRoot(btEntry{id: j, time: tj})
+				r.bt.ReplaceRoot(e)
 				continue
 			}
 			if !r.p.DisableEarlyStopping {

@@ -248,13 +248,15 @@ func TestMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 2 m-values x 3 variants", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 2 m-values x 4 variants", len(rows))
 	}
 	var buf bytes.Buffer
 	PrintMicro(&buf, rows)
-	if !strings.Contains(buf.String(), "VMIS-kNN-no-opt") {
-		t.Error("printed microbenchmark incomplete")
+	for _, variant := range []string{"VMIS-kNN-no-opt", "VMIS-kNN-merge"} {
+		if !strings.Contains(buf.String(), variant) {
+			t.Errorf("printed microbenchmark lacks %s", variant)
+		}
 	}
 }
 

@@ -10,10 +10,13 @@ import (
 	"serenade/internal/sessions"
 )
 
-// sessionStream produces random sessions with strictly increasing times.
+// sessionStream produces random sessions with strictly increasing times,
+// or, when ties is set, with a clock that advances on one click in eight,
+// so runs of sessions share their timestamp.
 type sessionStream struct {
 	rng  *rand.Rand
 	tick int64
+	ties bool
 	all  []sessions.Session
 }
 
@@ -27,7 +30,9 @@ func (st *sessionStream) next(vocab int) ([]sessions.ItemID, int64) {
 	times := make([]int64, length)
 	for i := range items {
 		items[i] = sessions.ItemID(st.rng.Intn(vocab))
-		st.tick++
+		if !st.ties || st.rng.Intn(8) == 0 {
+			st.tick++
+		}
 		times[i] = st.tick
 	}
 	st.all = append(st.all, sessions.Session{
@@ -69,10 +74,18 @@ func queries(rng *rand.Rand, vocab, n int) [][]sessions.ItemID {
 }
 
 // TestAppendMatchesRebuild: after every batch of appends, the incremental
-// index answers exactly like a from-scratch rebuild over all sessions.
+// index answers exactly like a from-scratch rebuild over all sessions, with
+// unique timestamps and with timestamps tied across the base/delta boundary.
 func TestAppendMatchesRebuild(t *testing.T) {
+	for _, ties := range []bool{false, true} {
+		testAppendMatchesRebuild(t, ties)
+	}
+}
+
+func testAppendMatchesRebuild(t *testing.T, ties bool) {
 	const vocab = 40
 	st := newStream(1)
+	st.ties = ties
 	for i := 0; i < 100; i++ {
 		st.next(vocab)
 	}
@@ -98,7 +111,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 			a := inc.Recommend(q, 21)
 			b := fresh.Recommend(q, 21)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("batch %d: incremental disagrees with rebuild on %v:\n%v\nvs\n%v", batch, q, a, b)
+				t.Fatalf("ties=%v batch %d: incremental disagrees with rebuild on %v:\n%v\nvs\n%v", ties, batch, q, a, b)
 			}
 		}
 	}

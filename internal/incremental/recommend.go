@@ -37,6 +37,15 @@ type btEntry struct {
 	time int64
 }
 
+// olderThan orders recency-heap entries oldest first by the total recency
+// order core's kernels use: time, then session id.
+func olderThan(a, b btEntry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.id < b.id
+}
+
 // NewRecommender validates parameters against the index capacity.
 func NewRecommender(x *Index, p core.Params) (*Recommender, error) {
 	if err := p.Validate(); err != nil {
@@ -53,7 +62,7 @@ func NewRecommender(x *Index, p core.Params) (*Recommender, error) {
 		dup:    make(map[sessions.ItemID]struct{}, p.MaxSessionLength),
 		scores: make(map[sessions.ItemID]float64, 256),
 	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
+	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, olderThan)
 	r.topk = dheap.NewBounded(p.HeapArity, p.K, neighborLess)
 	return r, nil
 }
@@ -74,11 +83,16 @@ func withDefaults(p core.Params) core.Params {
 	return p
 }
 
+// neighborLess orders neighbours weakest-first for the bounded top-k heap:
+// lower similarity, then the older session by (time, id).
 func neighborLess(a, b core.Neighbor) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
-	return a.Time < b.Time
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.ID < b.ID
 }
 
 // Clone returns an independent Recommender over the same index.
@@ -127,17 +141,17 @@ func (r *Recommender) neighborSessionsLocked(evolving []sessions.ItemID) []core.
 				r.r[j] = acc
 				return true
 			}
-			tj := r.x.timeOf(j)
+			e := btEntry{id: j, time: r.x.timeOf(j)}
 			if len(r.r) < r.p.M {
 				r.r[j] = accum{score: pi, maxPos: int32(pos)}
-				r.bt.Push(btEntry{id: j, time: tj})
+				r.bt.Push(e)
 				return true
 			}
 			oldest, _ := r.bt.Peek()
-			if tj > oldest.time {
+			if olderThan(oldest, e) {
 				delete(r.r, oldest.id)
 				r.r[j] = accum{score: pi, maxPos: int32(pos)}
-				r.bt.ReplaceRoot(btEntry{id: j, time: tj})
+				r.bt.ReplaceRoot(e)
 				return true
 			}
 			return r.p.DisableEarlyStopping

@@ -88,6 +88,15 @@ func FuzzLoad(f *testing.F) {
 	le.PutUint32(dupID[v2HeaderSize+(secPostRemap-1)*v2SectionSize:], secIDF)
 	f.Add(dupID)
 
+	// Order-invariant seeds: a valid image whose posting lists tie on time,
+	// and its mutations that break the strict session-id order or the
+	// non-decreasing timestamps the neighbour merge relies on.
+	tied := tiedOrderImage(f)
+	f.Add(tied)
+	for _, a := range orderAttacks {
+		f.Add(patchV2Section(tied, a.sec, a.mutate))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {

@@ -428,6 +428,71 @@ func TestV2RemapSectionAttacks(t *testing.T) {
 	loadBoth(t, pristine[:v2TableEnd(v2MaxSections)-4], "table truncated before remap entry")
 }
 
+// patchV2Section copies a v2 image, lets mutate rewrite the payload of
+// section sec, and recomputes that section's CRC, so only the loader's
+// structural checks stand between the result and a successful load.
+func patchV2Section(data []byte, sec int, mutate func(payload []byte)) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(nil), data...)
+	entry := out[v2HeaderSize+(sec-1)*v2SectionSize:]
+	off, n := le.Uint64(entry[8:16]), le.Uint64(entry[16:24])
+	mutate(out[off : off+n])
+	le.PutUint32(entry[4:8], crc32.ChecksumIEEE(out[off:off+n]))
+	return out
+}
+
+// tiedOrderImage saves a four-session index whose sessions all end at the
+// same time and all contain item 0, so item 0's posting list is [3 2 1 0]
+// over equal timestamps — a list only the session-id order can pin.
+func tiedOrderImage(t testing.TB) []byte {
+	t.Helper()
+	var ss []sessions.Session
+	for i := 0; i < 4; i++ {
+		ss = append(ss, sessions.Session{ID: sessions.SessionID(i), Items: []sessions.ItemID{0, sessions.ItemID(1 + i)}, Times: []int64{100, 100}})
+	}
+	idx, err := core.BuildIndex(sessions.FromSessions("ties", ss), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return saveV2Bytes(t, idx)
+}
+
+// Mutations of tiedOrderImage that break an order invariant the neighbour
+// merge relies on, each with an honest CRC.
+var orderAttacks = []struct {
+	label  string
+	sec    int
+	mutate func(payload []byte)
+}{
+	// Swap the first two postings of item 0 (3, 2 -> 2, 3): the timestamps
+	// are equal, so only the strict session-id order rejects it.
+	{"postings ascending over tied times", secPostData, func(p []byte) {
+		le := binary.LittleEndian
+		a, b := le.Uint32(p[0:4]), le.Uint32(p[4:8])
+		le.PutUint32(p[0:4], b)
+		le.PutUint32(p[4:8], a)
+	}},
+	{"posting repeated", secPostData, func(p []byte) {
+		copy(p[4:8], p[0:4])
+	}},
+	{"timestamps decreasing by id", secTimes, func(p []byte) {
+		binary.LittleEndian.PutUint64(p[0:8], 200)
+	}},
+}
+
+// TestV2OrderInvariantAttacks: a file whose posting lists are not strictly
+// descending by session id, or whose timestamps decrease with the session
+// id, must be rejected at load, not served in the wrong order.
+func TestV2OrderInvariantAttacks(t *testing.T) {
+	pristine := tiedOrderImage(t)
+	if _, err := Load(bytes.NewReader(pristine)); err != nil {
+		t.Fatalf("pristine tied image rejected: %v", err)
+	}
+	for _, a := range orderAttacks {
+		loadBoth(t, patchV2Section(pristine, a.sec, a.mutate), a.label)
+	}
+}
+
 // TestLoadFileV2Allocs pins the headline property of the v2 loader: the
 // number of heap allocations is a small constant, independent of how many
 // sessions and postings the file holds. A 25× larger index must not cost a
