@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race slo-race quality-race bench kernel-bench index-bench batch-bench slo-bench quality-bench http-bench fuzz-replay
+.PHONY: verify build vet test race bench kernel-bench index-bench cache-bench slo-bench quality-bench http-bench fuzz-replay
 
 verify: build vet test race
 
@@ -18,23 +18,18 @@ vet:
 test:
 	$(GO) test ./...
 
+# One race pass over every package that shares state across goroutines: the
+# kernel and its pooled recommenders, serving (cache, index swap, pooled
+# scratch), the SLO engine and quality loop (obs/...) with their rolling
+# windows (metrics), the proxy and pool (cluster), the session store, the
+# client, and the click-model harness (loadgen). The allocation budgets run
+# without -race, which instruments allocations.
 race:
-	$(GO) test -race ./internal/core ./internal/serving ./internal/obs/... ./internal/metrics ./internal/cluster ./internal/kvstore ./client
+	$(GO) test -race ./internal/core ./internal/serving ./internal/obs/... ./internal/metrics ./internal/cluster ./internal/kvstore ./internal/loadgen ./client
 	$(GO) test -run 'TestHTTPAllocBudgets' ./internal/serving
 
-# The SLO engine and its feeders under the race detector: rolling-window
-# accumulators, burn-rate trackers, tail retention, health snapshots.
-slo-race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics ./internal/serving ./internal/cluster
-
-# The online quality loop under the race detector: exposure recording,
-# click attribution, windowed gauges, drift detection, and the click-model
-# harness that drives them.
-quality-race:
-	$(GO) test -race ./internal/obs/... ./internal/serving ./internal/loadgen ./internal/cluster ./client
-
 # All microbenchmarks, quick.
-bench: batch-bench
+bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path scoring kernel vs the retained map-based reference.
@@ -45,12 +40,12 @@ kernel-bench:
 index-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadFile|BenchmarkBuild' -benchmem ./internal/index ./internal/core
 
-# Batched scoring (B=1..64, remap on/off) and the result-cache hot path,
-# committed as the versioned BENCH_batch.json artifact.
-batch-bench: slo-bench
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchRecommend|BenchmarkRecommendCache|BenchmarkRecommendNoCache' -benchmem \
-		./internal/core ./internal/serving | $(GO) run ./tools/benchjson > BENCH_batch.json
-	@echo wrote BENCH_batch.json
+# The result-cache hot path (hit, miss) against the uncached request path,
+# committed as the versioned BENCH_cache.json artifact.
+cache-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkRecommendCache|BenchmarkRecommendNoCache' -benchmem \
+		./internal/serving | $(GO) run ./tools/benchjson > BENCH_cache.json
+	@echo wrote BENCH_cache.json
 
 # Burn-rate-vs-RPS trajectory from the load harness, committed as the
 # versioned BENCH_slo.json artifact (the BENCHJSON line carries the rows).

@@ -82,11 +82,8 @@ func main() {
 		traceRing = flag.Int("trace-ring", 256, "traces retained for /debug/traces (<0 disables tracing sample retention)")
 		traceEach = flag.Int("trace-sample", 16, "sample 1 in N requests into the trace ring (slow requests always kept)")
 		logJSON   = flag.Bool("log-json", false, "structured logs as JSON instead of text")
-		batchWin  = flag.Duration("batch-window", 0, "gather concurrent requests for this long and score them as one batch (0 disables batching)")
-		batchMax  = flag.Int("batch-max", 0, "largest gathered batch for -batch-window (0 = default 16)")
 		cacheSize = flag.Int("result-cache-size", 0, "single-flight result cache entries (0 disables the cache)")
 		cacheTTL  = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = default 5s)")
-		f32Scores = flag.Bool("float32-scores", false, "accumulate item scores in float32 (half the accumulator footprint; ranks may differ in ties)")
 		sloP99    = flag.Duration("slo-latency-p99", 50*time.Millisecond, "latency objective: requests slower than this burn error budget, tracked at /debug/slo (0 disables)")
 		sloBudget = flag.Float64("slo-latency-budget", 0, "fraction of requests allowed to exceed -slo-latency-p99 (0 = default 1%, a p99 objective)")
 		sloErr    = flag.Float64("slo-error-budget", 0.001, "fraction of requests allowed to fail before the error-rate SLO burns (0 disables)")
@@ -157,9 +154,7 @@ func main() {
 		}
 	}
 	srv, err := serenade.NewServer(idx, serenade.ServerConfig{
-		Params:             serenade.Params{M: *m, K: *k, Float32Scores: *f32Scores},
-		BatchWindow:        *batchWin,
-		BatchMax:           *batchMax,
+		Params:             serenade.Params{M: *m, K: *k},
 		ResultCacheSize:    *cacheSize,
 		ResultCacheTTL:     *cacheTTL,
 		Recommendations:    *slotSize,

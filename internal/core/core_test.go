@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"serenade/internal/sessions"
@@ -313,6 +315,79 @@ func TestCloneIndependence(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("clone returns different results")
 	}
+}
+
+// TestCloneSharesNoKernelState audits the rule the serving pool relies on:
+// a clone shares the immutable index with its origin and no mutable kernel
+// buffer.
+func TestCloneSharesNoKernelState(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	idx := mustIndex(t, randomDataset(rng, 150, 25), 0)
+	rec := mustRecommender(t, idx, Params{M: 12, K: 6})
+	clone := rec.Clone()
+	if clone.acc == rec.acc || &clone.nbrBuf[:1][0] == &rec.nbrBuf[:1][0] ||
+		&clone.topBuf[0] == &rec.topBuf[0] || &clone.bucket[0] == &rec.bucket[0] {
+		t.Fatal("Clone shares mutable kernel state with its origin")
+	}
+}
+
+// TestRecommendOnRemappedIndex checks that the popularity remap is invisible
+// to query semantics: output over the remapped index equals output over the
+// original layout, for single and repeated queries alike.
+func TestRecommendOnRemappedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	idx := mustIndex(t, randomDataset(rng, 250, 40), 0)
+	remapped, err := idx.RemappedByPopularity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !remapped.Remapped() {
+		t.Fatal("RemappedByPopularity returned an identity-layout index")
+	}
+	p := Params{M: 20, K: 10}
+	base := mustRecommender(t, idx, p)
+	onRemap := mustRecommender(t, remapped, p)
+	for trial := 0; trial < 240; trial++ {
+		q := randomEvolving(rng, 40)
+		want := base.Recommend(q, 10)
+		got := onRemap.Recommend(q, 10)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %v: remapped %v, want %v", q, got, want)
+		}
+	}
+}
+
+// TestConcurrentRecommenders hammers independent Recommenders over one
+// shared index from many goroutines (run under -race by make race): the
+// index must be read-only to the kernel, and every concurrent answer must
+// equal the one a lone recommender computed beforehand.
+func TestConcurrentRecommenders(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	idx := mustIndex(t, randomDataset(rng, 300, 35), 0)
+	proto := mustRecommender(t, idx, Params{M: 20, K: 10})
+	queries := make([][]sessions.ItemID, 64)
+	wants := make([][]ScoredItem, len(queries))
+	for i := range queries {
+		queries[i] = randomEvolving(rng, 35)
+		wants[i] = slices.Clone(proto.Recommend(queries[i], 10))
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rec := proto.Clone()
+			for trial := 0; trial < 4*len(queries); trial++ {
+				i := (trial*7 + w) % len(queries)
+				if got := rec.Recommend(queries[i], 10); !slices.Equal(got, wants[i]) {
+					t.Errorf("worker %d query %v: %v, want %v", w, queries[i], got, wants[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestNewRecommenderRejectsMBeyondCapacity(t *testing.T) {

@@ -92,27 +92,19 @@ func partitionScoredItems(out []ScoredItem, lo, hi int) int {
 
 // itemAccumulator is the flat item-scoring accumulator: a dense score array
 // over the item-id space plus the list of touched items, so a query resets
-// only what it wrote (O(distinct scored items), not O(numItems)). Exactly
-// one of the two score arrays is allocated, selected by
-// Params.Float32Scores: the float32 array halves the accumulator's memory
-// traffic (the dominant random-access structure of the scoring stage) at
-// ~7 significant digits of score precision.
+// only what it wrote (O(distinct scored items), not O(numItems)).
 type itemAccumulator struct {
-	scores   []float64
-	scores32 []float32
-	touched  []sessions.ItemID
+	scores  []float64
+	touched []sessions.ItemID
 }
 
-func newItemAccumulator(numItems int, float32Scores bool) *itemAccumulator {
-	if float32Scores {
-		return &itemAccumulator{scores32: make([]float32, numItems)}
-	}
+func newItemAccumulator(numItems int) *itemAccumulator {
 	return &itemAccumulator{scores: make([]float64, numItems)}
 }
 
-// add accumulates a strictly positive contribution for an item (float64
-// mode). Zero contributions must be filtered by the caller: a zero score is
-// how the accumulator recognises a first touch.
+// add accumulates a strictly positive contribution for an item. Zero
+// contributions must be filtered by the caller: a zero score is how the
+// accumulator recognises a first touch.
 func (a *itemAccumulator) add(item sessions.ItemID, v float64) {
 	if a.scores[item] == 0 {
 		a.touched = append(a.touched, item)
@@ -120,31 +112,15 @@ func (a *itemAccumulator) add(item sessions.ItemID, v float64) {
 	a.scores[item] += v
 }
 
-// add32 is add for the float32 accumulator. The contribution is computed in
-// float64 and rounded once per add, so the only precision loss is the
-// accumulator width itself.
-func (a *itemAccumulator) add32(item sessions.ItemID, v float64) {
-	if a.scores32[item] == 0 {
-		a.touched = append(a.touched, item)
-	}
-	a.scores32[item] += float32(v)
-}
-
 // resetSparse zeroes exactly the entries written since the last reset.
 func (a *itemAccumulator) resetSparse() {
-	if a.scores32 != nil {
-		for _, item := range a.touched {
-			a.scores32[item] = 0
-		}
-	} else {
-		for _, item := range a.touched {
-			a.scores[item] = 0
-		}
+	for _, item := range a.touched {
+		a.scores[item] = 0
 	}
 	a.touched = a.touched[:0]
 }
 
 // footprint reports the accumulator's in-memory size in bytes.
 func (a *itemAccumulator) footprint() int64 {
-	return int64(len(a.scores))*8 + int64(len(a.scores32))*4 + int64(cap(a.touched))*4
+	return int64(len(a.scores))*8 + int64(cap(a.touched))*4
 }

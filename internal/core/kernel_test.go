@@ -38,7 +38,7 @@ func TestRankNeighborsMatchesSort(t *testing.T) {
 }
 
 func TestItemAccumulatorSparseReset(t *testing.T) {
-	acc := newItemAccumulator(10, false)
+	acc := newItemAccumulator(10)
 	acc.add(3, 1.5)
 	acc.add(7, 2.0)
 	acc.add(3, 0.5)

@@ -77,14 +77,6 @@ type Params struct {
 	// in Recommender reads each list only as far as the M-th distinct
 	// session, and its result does not depend on the field.
 	DisableEarlyStopping bool
-	// Float32Scores switches the item-score accumulator from float64 to
-	// float32, halving its footprint and memory traffic. Scores keep ~7
-	// significant digits — outside the kernel's 1e-12 differential pinning
-	// but far below any rank-relevant score gap on real data; batch and
-	// single-query execution remain bit-identical to each other either way
-	// because a batch runs the single-query path. Leave false for the exact
-	// float64 path.
-	Float32Scores bool
 }
 
 // DefaultMaxSessionLength bounds the number of evolving-session items

@@ -75,7 +75,7 @@ func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 		nbrBuf: make([]Neighbor, 0, p.M),
 		topBuf: make([]Neighbor, p.K),
 		bucket: make([]uint8, p.M),
-		acc:    newItemAccumulator(idx.numItems, p.Float32Scores),
+		acc:    newItemAccumulator(idx.numItems),
 	}, nil
 }
 
@@ -311,31 +311,15 @@ func (r *Recommender) ScoreNeighbors(neighbors []Neighbor, n int) []ScoredItem {
 	// d_i = Σ_n 1_n(i) · λ(maxPos_n) · r_n · log(|H|/h_i), accumulated in
 	// the flat array. Zero contributions (idf 0) are skipped — they cannot
 	// change a score, and the accumulator needs first touches to be
-	// strictly positive. The float32 mode duplicates the two-line loop body
-	// rather than branching per contribution: the accumulator store is the
-	// hot instruction here.
-	if r.p.Float32Scores {
-		for _, nb := range neighbors {
-			w := r.p.MatchWeight(nb.MaxPos) * nb.Score
-			if w == 0 {
-				continue
-			}
-			for _, item := range r.idx.SessionItems(nb.ID) {
-				if v := w * r.idx.idf[item]; v != 0 {
-					r.acc.add32(item, v)
-				}
-			}
+	// strictly positive.
+	for _, nb := range neighbors {
+		w := r.p.MatchWeight(nb.MaxPos) * nb.Score
+		if w == 0 {
+			continue
 		}
-	} else {
-		for _, nb := range neighbors {
-			w := r.p.MatchWeight(nb.MaxPos) * nb.Score
-			if w == 0 {
-				continue
-			}
-			for _, item := range r.idx.SessionItems(nb.ID) {
-				if v := w * r.idx.idf[item]; v != 0 {
-					r.acc.add(item, v)
-				}
+		for _, item := range r.idx.SessionItems(nb.ID) {
+			if v := w * r.idx.idf[item]; v != 0 {
+				r.acc.add(item, v)
 			}
 		}
 	}
@@ -345,17 +329,9 @@ func (r *Recommender) ScoreNeighbors(neighbors []Neighbor, n int) []ScoredItem {
 	// across calls regardless of n, so callers alternating output lengths
 	// (e.g. A/B arms sharing a pool) never reallocate output state.
 	out := r.outBuf[:0]
-	if r.p.Float32Scores {
-		for _, item := range r.acc.touched {
-			if score := r.acc.scores32[item]; score > 0 {
-				out = append(out, ScoredItem{Item: item, Score: float64(score)})
-			}
-		}
-	} else {
-		for _, item := range r.acc.touched {
-			if score := r.acc.scores[item]; score > 0 {
-				out = append(out, ScoredItem{Item: item, Score: score})
-			}
+	for _, item := range r.acc.touched {
+		if score := r.acc.scores[item]; score > 0 {
+			out = append(out, ScoredItem{Item: item, Score: score})
 		}
 	}
 	r.acc.resetSparse()

@@ -248,8 +248,9 @@ func Workload(ds *sessions.Dataset, limit int) []serving.Request {
 // keys, interleaved click by click: at every point of every session, burst
 // users sit at the same position of the same click path. This is the
 // duplicate-heavy traffic shape of flash sales and landing-page campaigns —
-// the workload the single-flight result cache and the batcher's shared
-// posting walks are built for. burst <= 1 degenerates to Workload.
+// the workload the single-flight result cache is built for: all but the
+// first of each burst repeat a kernel-truncated session tail. burst <= 1
+// degenerates to Workload.
 func BurstWorkload(ds *sessions.Dataset, limit, burst int) []serving.Request {
 	if burst < 1 {
 		burst = 1

@@ -106,15 +106,9 @@ func (l *SlowLog) Log(sp *Span) {
 			attrs = append(attrs, "stage_"+Stage(i).String(), d)
 		}
 	}
-	// Cache/batch context: was this a cache hit or a scored miss, was it
-	// coalesced or batched, how big was the batch, how long did it queue.
+	// Cache context: was this a cache hit, a coalesced wait or a scored
+	// miss.
 	attrs = append(attrs, "flags", sp.Flags.String())
-	if sp.BatchSize > 0 {
-		attrs = append(attrs, "batch_size", sp.BatchSize)
-	}
-	if w := sp.Stages[StageBatchWait]; w > 0 {
-		attrs = append(attrs, "queue_wait", w)
-	}
 	if fn := l.burnState.Load(); fn != nil {
 		worst, fastBurn, slowBurn := (*fn)()
 		attrs = append(attrs,

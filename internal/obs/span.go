@@ -18,12 +18,11 @@ const (
 	StageFilter                  // business rules + popularity fallback
 	StageEncode                  // response serialisation
 	StageProxy                   // cross-shard proxy hop
-	StageBatchWait               // time queued in the wait-window batcher
 	NumStages
 )
 
 var stageNames = [NumStages]string{
-	"store", "candidates", "score", "filter", "encode", "proxy", "batch_wait",
+	"store", "candidates", "score", "filter", "encode", "proxy",
 }
 
 // String returns the stage's stable, scrape-friendly name.
@@ -34,8 +33,8 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// SpanFlags annotate how a request was served — result-cache outcome and
-// batching role — as a bitmask so pooled spans stay allocation-free.
+// SpanFlags annotate how a request was served — its result-cache outcome —
+// as a bitmask so pooled spans stay allocation-free.
 type SpanFlags uint8
 
 const (
@@ -49,8 +48,6 @@ const (
 	// FlagCacheWaiter marks a request that coalesced onto a leader's
 	// in-flight computation instead of scoring itself.
 	FlagCacheWaiter
-	// FlagBatched marks a request scored inside a shared batch.
-	FlagBatched
 )
 
 var flagNames = []struct {
@@ -61,7 +58,6 @@ var flagNames = []struct {
 	{FlagCacheMiss, "cache_miss"},
 	{FlagCacheLeader, "cache_leader"},
 	{FlagCacheWaiter, "cache_waiter"},
-	{FlagBatched, "batched"},
 }
 
 // Names expands the bitmask into stable, scrape-friendly strings.
@@ -116,10 +112,8 @@ type Span struct {
 	Stages [NumStages]time.Duration
 	Error  string // error class, empty on success
 
-	// Flags annotate cache outcome and batch role; BatchSize is the number
-	// of queries in the batch this request was scored with (0 = unbatched).
-	Flags     SpanFlags
-	BatchSize int
+	// Flags annotate the result-cache outcome.
+	Flags SpanFlags
 
 	// cursor is the end of the last attributed segment; Cut advances it.
 	cursor time.Time
@@ -136,26 +130,6 @@ func (sp *Span) AddFlags(f SpanFlags) { sp.Flags |= f }
 func (sp *Span) Cut(st Stage) {
 	now := nowMono()
 	sp.Stages[st] += now.Sub(sp.cursor)
-	sp.cursor = now
-}
-
-// CutSplit attributes the time since the previous Cut to two stages: d of it
-// to a, the remainder to b (d is clamped to the elapsed segment). It exists
-// for the batcher, where one elapsed segment covers both queueing and
-// scoring: the queue wait is measured separately and billed to
-// StageBatchWait, the rest to StageScore, and the partition invariant of Cut
-// — stage durations sum to the total — still holds.
-func (sp *Span) CutSplit(a Stage, d time.Duration, b Stage) {
-	now := nowMono()
-	elapsed := now.Sub(sp.cursor)
-	if d < 0 {
-		d = 0
-	}
-	if d > elapsed {
-		d = elapsed
-	}
-	sp.Stages[a] += d
-	sp.Stages[b] += elapsed - d
 	sp.cursor = now
 }
 

@@ -89,31 +89,9 @@ func TestErrorTierRetainsAllErrors(t *testing.T) {
 	}
 }
 
-func TestCutSplitPartitionsSegment(t *testing.T) {
-	defer func() { nowMono = time.Now }()
-	base := time.Now()
-	nowMono = func() time.Time { return base }
-	tr := NewTracer(TracerOptions{})
-	sp := tr.Start("recommend")
-	base = base.Add(10 * time.Millisecond)
-	sp.CutSplit(StageBatchWait, 4*time.Millisecond, StageScore)
-	if sp.Stages[StageBatchWait] != 4*time.Millisecond || sp.Stages[StageScore] != 6*time.Millisecond {
-		t.Fatalf("split = (%v, %v), want (4ms, 6ms)", sp.Stages[StageBatchWait], sp.Stages[StageScore])
-	}
-	// The wait is clamped to the elapsed segment, preserving the partition
-	// invariant even if the measured queue wait overshoots.
-	base = base.Add(time.Millisecond)
-	sp.CutSplit(StageBatchWait, time.Hour, StageScore)
-	sp.End()
-	if sp.StageSum() != sp.Total {
-		t.Fatalf("stage sum %v != total %v after clamped split", sp.StageSum(), sp.Total)
-	}
-	tr.Finish(sp)
-}
-
 func TestSpanFlags(t *testing.T) {
-	f := FlagCacheMiss | FlagBatched
-	if got := f.String(); got != "cache_miss,batched" {
+	f := FlagCacheMiss | FlagCacheLeader
+	if got := f.String(); got != "cache_miss,cache_leader" {
 		t.Fatalf("String = %q", got)
 	}
 	if got := SpanFlags(0).String(); got != "-" {
@@ -177,19 +155,20 @@ func TestSlowLogContextAndBurnState(t *testing.T) {
 	base := time.Now()
 	nowMono = func() time.Time { return base }
 	sp := tr.Start("recommend")
-	sp.AddFlags(FlagCacheMiss | FlagBatched)
-	sp.BatchSize = 7
-	base = base.Add(5 * time.Millisecond)
-	sp.CutSplit(StageBatchWait, 2*time.Millisecond, StageScore)
+	sp.AddFlags(FlagCacheMiss | FlagCacheLeader)
+	base = base.Add(2 * time.Millisecond)
+	sp.Cut(StageCandidates)
+	base = base.Add(3 * time.Millisecond)
+	sp.Cut(StageScore)
 	tr.Finish(sp)
 
 	mu.Lock()
 	out := buf.String()
 	mu.Unlock()
 	for _, want := range []string{
-		"flags=cache_miss,batched",
-		"batch_size=7",
-		"queue_wait=2ms",
+		"flags=cache_miss,cache_leader",
+		"stage_candidates=2ms",
+		"stage_score=3ms",
 		"slo_burn_rate=22.5",
 		"slo_fast_burn=true",
 		"slo_slow_burn=false",

@@ -171,13 +171,12 @@ type traceView struct {
 	ParentID  string           `json:"parent_id,omitempty"`
 	RequestID string           `json:"request_id,omitempty"`
 	Op        string           `json:"op"`
-	Start    time.Time        `json:"start"`
-	TotalNS  int64            `json:"total_ns"`
-	Total    string           `json:"total"`
-	Stages   map[string]int64 `json:"stages_ns"`
-	Error    string           `json:"error,omitempty"`
-	Flags    []string         `json:"flags,omitempty"`
-	Batch    int              `json:"batch_size,omitempty"`
+	Start     time.Time        `json:"start"`
+	TotalNS   int64            `json:"total_ns"`
+	Total     string           `json:"total"`
+	Stages    map[string]int64 `json:"stages_ns"`
+	Error     string           `json:"error,omitempty"`
+	Flags     []string         `json:"flags,omitempty"`
 }
 
 func viewOf(sp Span) traceView {
@@ -187,13 +186,12 @@ func viewOf(sp Span) traceView {
 		ParentID:  sp.ParentID,
 		RequestID: sp.RequestID,
 		Op:        sp.Op,
-		Start:    sp.Start,
-		TotalNS:  int64(sp.Total),
-		Total:    sp.Total.String(),
-		Stages:   make(map[string]int64, len(sp.Stages)),
-		Error:    sp.Error,
-		Flags:    sp.Flags.Names(),
-		Batch:    sp.BatchSize,
+		Start:     sp.Start,
+		TotalNS:   int64(sp.Total),
+		Total:     sp.Total.String(),
+		Stages:    make(map[string]int64, len(sp.Stages)),
+		Error:     sp.Error,
+		Flags:     sp.Flags.Names(),
 	}
 	for i, d := range sp.Stages {
 		if d > 0 {

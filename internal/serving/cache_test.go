@@ -8,19 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"serenade/internal/core"
 	"serenade/internal/sessions"
 )
 
 // replaySessions drives the same deterministic click traffic through a
-// server and returns every response, so two differently-configured servers
-// can be compared request for request.
-func replaySessions(t *testing.T, s *Server, seed int64, users, clicks int) []Response {
+// server under session keys prefix-0, prefix-1, ... and returns every
+// response, so two differently-configured servers can be compared request
+// for request.
+func replaySessions(t *testing.T, s *Server, prefix string, seed int64, users, clicks int) []Response {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var out []Response
 	for u := 0; u < users; u++ {
-		key := fmt.Sprintf("user-%d", u)
+		key := fmt.Sprintf("%s-%d", prefix, u)
 		for c := 0; c < clicks; c++ {
 			item := sessions.ItemID(rng.Intn(s.Index().NumItems()))
 			resp, err := s.Recommend(Request{SessionKey: key, Item: item, Consent: true})
@@ -33,20 +33,23 @@ func replaySessions(t *testing.T, s *Server, seed int64, users, clicks int) []Re
 	return out
 }
 
-// TestBatchedRecommendMatchesDefault is the serving-layer differential test:
-// a batching server must answer the same traffic with exactly the responses
-// of the default per-request server (batch lanes run the same kernel code in
-// the same per-lane order).
-func TestBatchedRecommendMatchesDefault(t *testing.T) {
+// TestCachedRecommendMatchesDefault is the serving-layer differential test
+// of the result cache: a caching server must answer the same traffic with
+// exactly the responses of the default server. The second pass replays the
+// first under new session keys, so every one of its predictions is a hit.
+func TestCachedRecommendMatchesDefault(t *testing.T) {
 	plain := testServer(t, Config{})
-	batched := testServer(t, Config{BatchWindow: 200 * time.Microsecond, BatchMax: 8})
-	want := replaySessions(t, plain, 5, 6, 8)
-	got := replaySessions(t, batched, 5, 6, 8)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("batched server diverged from the per-request server on identical traffic")
+	cached := testServer(t, Config{ResultCacheSize: 1024})
+	const users, clicks = 6, 8
+	for _, pass := range []string{"first", "second"} {
+		want := replaySessions(t, plain, pass, 5, users, clicks)
+		got := replaySessions(t, cached, pass, 5, users, clicks)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s pass: caching server diverged from the default server on identical traffic", pass)
+		}
 	}
-	if st := batched.Stats(); st.Batches == 0 || st.BatchedRequests == 0 {
-		t.Errorf("batched server reports no batch activity: %+v", st)
+	if st := cached.Stats(); st.CacheHits < users*clicks {
+		t.Errorf("replayed pass was not served from the cache: %d hits, want ≥ %d", st.CacheHits, users*clicks)
 	}
 }
 
@@ -156,22 +159,17 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestBatcherHammer floods a batching+caching server from many goroutines
-// while the index is swapped underneath it — the -race test of the
-// batch-lane isolation audit. Responses only need to be well-formed; the
-// differential tests above pin exact content.
-func TestBatcherHammer(t *testing.T) {
-	s := testServer(t, Config{
-		BatchWindow:     100 * time.Microsecond,
-		BatchMax:        8,
-		ResultCacheSize: 256,
-	})
+// TestCacheSwapHammer floods a caching server from many goroutines while
+// the index is swapped underneath it — the -race test of the cache's
+// leader/waiter hand-off across generations. Responses only need to be
+// well-formed; the differential tests above pin exact content.
+func TestCacheSwapHammer(t *testing.T) {
+	s := testServer(t, Config{ResultCacheSize: 256})
 	const workers = 8
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
+	stop, swapped := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(swapped)
 		for {
 			select {
 			case <-stop:
@@ -214,24 +212,10 @@ func TestBatcherHammer(t *testing.T) {
 			}
 		}(int64(w))
 	}
-	close(stop)
 	wg.Wait()
-}
-
-// TestBatchedFloat32Serving smoke-tests the float32 accumulator through the
-// whole serving stack (batcher + cache): responses stay well-formed and
-// deterministic across identical servers.
-func TestBatchedFloat32Serving(t *testing.T) {
-	cfg := Config{
-		Params:          core.Params{M: 100, K: 50, Float32Scores: true},
-		BatchWindow:     100 * time.Microsecond,
-		ResultCacheSize: 128,
-	}
-	a := testServer(t, cfg)
-	b := testServer(t, cfg)
-	got := replaySessions(t, a, 9, 4, 6)
-	want := replaySessions(t, b, 9, 4, 6)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("two identical float32 servers diverged on identical traffic")
+	close(stop)
+	<-swapped
+	if s.Stats().IndexSwaps == 0 {
+		t.Error("no index swap overlapped the request flood")
 	}
 }

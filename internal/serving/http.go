@@ -158,14 +158,11 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	body, err := readAllInto(sc.body, r.Body)
-	sc.body = body
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	if !readBody(w, r, sc) {
 		return
 	}
 	var req TrackRequest
-	if err := DecodeTrackRequest(&sc.dec, body, &req); err != nil {
+	if err := DecodeTrackRequest(&sc.dec, sc.body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return
 	}
@@ -194,20 +191,38 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRecommendPost(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	body, err := readAllInto(sc.body, r.Body)
-	sc.body = body
-	if err != nil {
+	if !readBody(w, r, sc) {
 		s.countBadRequest()
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return
 	}
 	var req Request
-	if err := DecodeRequest(&sc.dec, body, &req); err != nil {
+	if err := DecodeRequest(&sc.dec, sc.body, &req); err != nil {
 		s.countBadRequest()
 		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return
 	}
 	s.serveRecommend(w, r, req, sc)
+}
+
+// readBody reads the request body into sc.body and reports whether it did;
+// otherwise it has answered the client. A body past maxBodyBytes, declared
+// or found while reading, gets 413 and a closed connection, so the rest of
+// it is never read.
+func readBody(w http.ResponseWriter, r *http.Request, sc *reqScratch) bool {
+	var err error
+	if r.ContentLength > maxBodyBytes {
+		err = errBodyTooLarge
+	} else {
+		sc.body, err = readAllInto(sc.body, r.Body)
+	}
+	switch {
+	case err == errBodyTooLarge:
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	}
+	return err == nil
 }
 
 func (s *Server) handleRecommendGet(w http.ResponseWriter, r *http.Request) {

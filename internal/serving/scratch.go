@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"errors"
 	"io"
 	"sync"
 
@@ -19,8 +20,8 @@ import (
 // released (deferred) only after the response bytes have been handed to the
 // ResponseWriter, so nothing downstream may retain a reference past the
 // handler's return. Everything that must outlive the request — the session
-// key, kvstore values, cache entries, batch results published to other
-// requests — is copied out by its owner (kvstore.Put, resultCache.fill,
+// key, kvstore values, cache entries published to other requests — is
+// copied out by its owner (kvstore.Put, resultCache.fill,
 // quality.RecordExposure all copy).
 type reqScratch struct {
 	// dec is the reusable JSON scanner; its internal unescape buffer
@@ -55,19 +56,39 @@ var scratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-func getScratch() *reqScratch   { return scratchPool.Get().(*reqScratch) }
-func putScratch(sc *reqScratch) { scratchPool.Put(sc) }
+// maxBodyBytes caps a POST body of /v1/recommend or /track. Real bodies are
+// a few dozen bytes; anything past the cap is refused with 413 before more
+// of it is read.
+const maxBodyBytes = 64 << 10
+
+var errBodyTooLarge = errors.New("request body exceeds 64 KiB")
+
+func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
+
+// putScratch recycles a scratch, except one whose body buffer an oversize
+// request grew past the cap: pooling it would pin that memory for good.
+func putScratch(sc *reqScratch) {
+	if cap(sc.body) > maxBodyBytes {
+		return
+	}
+	scratchPool.Put(sc)
+}
 
 // readAllInto reads r to EOF into dst's backing array (growing it only when
-// the body exceeds the retained capacity) and returns the filled slice.
+// the body exceeds the retained capacity) and returns the filled slice. It
+// reads at most one byte past maxBodyBytes and returns errBodyTooLarge when
+// the body is longer.
 func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	dst = dst[:0]
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
+		n, err := r.Read(dst[len(dst):min(cap(dst), maxBodyBytes+1)])
 		dst = dst[:len(dst)+n]
+		if len(dst) > maxBodyBytes {
+			return dst, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return dst, nil
 		}

@@ -89,15 +89,6 @@ type Config struct {
 	// popular recommendable items, so the UI slot is always full even for
 	// cold sessions on rare items.
 	FallbackToPopular bool
-	// BatchWindow enables request batching: the first request of a batch
-	// waits up to this long for concurrent requests to join, and the batch
-	// runs the kernel once with shared CSR posting walks (core.
-	// BatchRecommend). Zero disables batching — the right default at low
-	// concurrency, where the window is pure added latency.
-	BatchWindow time.Duration
-	// BatchMax caps how many requests one batch gathers; 0 means
-	// DefaultBatchMax. Only meaningful with BatchWindow.
-	BatchMax int
 	// ResultCacheSize enables the single-flight result cache: the maximum
 	// number of retained predictions. Concurrent requests with an identical
 	// kernel-truncated session tail coalesce onto one execution, and repeats
@@ -181,9 +172,6 @@ type Server struct {
 	// cache is the single-flight result cache (nil unless
 	// Config.ResultCacheSize > 0).
 	cache *resultCache
-	// batcher gathers concurrent requests into shared kernel batches (nil
-	// unless Config.BatchWindow > 0).
-	batcher *batcher
 
 	// requests and stages are contention-free striped histograms: recording
 	// a latency must never become the scalability bottleneck it would be
@@ -208,18 +196,16 @@ type Server struct {
 	// inflight counts requests between entry and span finish — the most
 	// immediate overload signal in the health surface.
 	inflight atomic.Int64
-	// batchWaitMax is the rolling queue-wait high-watermark (nil unless
-	// batching is enabled); cacheWin tracks rolling (lookups, absorbed)
-	// counts for the health signal's hit-ratio windows (nil without cache).
-	batchWaitMax *metrics.WindowedMax
-	cacheWin     *metrics.WindowedCounter
-	errors       *obs.Counter
-	errStore     *obs.Counter
-	errInput     *obs.Counter
-	padded       *obs.Counter
-	depers       *obs.Counter
-	idemReplays  *obs.Counter
-	swaps        atomic.Uint64
+	// cacheWin tracks rolling (lookups, absorbed) counts for the health
+	// signal's hit-ratio windows (nil without cache).
+	cacheWin    *metrics.WindowedCounter
+	errors      *obs.Counter
+	errStore    *obs.Counter
+	errInput    *obs.Counter
+	padded      *obs.Counter
+	depers      *obs.Counter
+	idemReplays *obs.Counter
+	swaps       atomic.Uint64
 	// loadNanos is the duration of the most recent index load, reported by
 	// the embedding binary via RecordIndexLoad and exported as
 	// serenade_index_load_seconds.
@@ -241,9 +227,6 @@ type indexGeneration struct {
 	// popular ranks items by document frequency, the fallback order.
 	popular []core.ScoredItem
 	pool    sync.Pool
-	// batchPool pools BatchRecommenders for the request batcher (empty New
-	// unless batching is enabled).
-	batchPool sync.Pool
 	// recBytes is one pooled recommender's footprint, computed once at
 	// generation build so Stats and the metrics scrape never need to pull
 	// a recommender out of the pool.
@@ -254,24 +237,13 @@ type indexGeneration struct {
 	ownIdx   bool
 }
 
-func newGeneration(idx *core.Index, params core.Params, fallback, own bool, batchMax int) (*indexGeneration, error) {
+func newGeneration(idx *core.Index, params core.Params, fallback, own bool) (*indexGeneration, error) {
 	proto, err := core.NewRecommender(idx, params)
 	if err != nil {
 		return nil, err
 	}
 	g := &indexGeneration{idx: idx, recBytes: proto.MemoryFootprint(), ownIdx: own}
 	g.pool.New = func() any { return proto.Clone() }
-	if batchMax > 0 {
-		g.batchPool.New = func() any {
-			// Parameters were validated by NewRecommender above, so this
-			// cannot fail against the same index.
-			br, err := core.NewBatchRecommender(idx, params, batchMax)
-			if err != nil {
-				panic("serving: batch recommender: " + err.Error())
-			}
-			return br
-		}
-	}
 	if fallback {
 		g.popular = popularItems(idx)
 	}
@@ -345,17 +317,6 @@ func popularItems(idx *core.Index) []core.ScoredItem {
 	return out
 }
 
-// batchMax resolves the effective batch bound: 0 when batching is disabled.
-func (c Config) batchMax() int {
-	if c.BatchWindow <= 0 {
-		return 0
-	}
-	if c.BatchMax <= 0 {
-		return DefaultBatchMax
-	}
-	return c.BatchMax
-}
-
 // NewServer creates a serving instance against a (replicated, immutable)
 // session similarity index.
 func NewServer(idx *core.Index, cfg Config) (*Server, error) {
@@ -368,7 +329,7 @@ func NewServer(idx *core.Index, cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	gen, err := newGeneration(idx, cfg.Params, cfg.FallbackToPopular, cfg.OwnIndex, cfg.batchMax())
+	gen, err := newGeneration(idx, cfg.Params, cfg.FallbackToPopular, cfg.OwnIndex)
 	if err != nil {
 		return nil, fmt.Errorf("serving: %w", err)
 	}
@@ -450,10 +411,6 @@ func NewServer(idx *core.Index, cfg Config) (*Server, error) {
 	if cfg.ResultCacheSize > 0 {
 		s.cache = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheTTL, cfg.Now)
 		s.cacheWin = metrics.NewWindowedCounter(time.Minute, cfg.Now)
-	}
-	if cfg.BatchWindow > 0 {
-		s.batchWaitMax = metrics.NewWindowedMax(time.Minute, cfg.Now)
-		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.batchMax())
 	}
 	s.buildRegistry()
 	s.active.Store(gen)
@@ -559,21 +516,6 @@ func (s *Server) buildRegistry() {
 				}, "window", w.String())
 		}
 	}
-	if s.batcher != nil {
-		r.GaugeFunc("serenade_batcher_depth", "Requests submitted to the batcher and not yet dispatched.",
-			func() float64 { return float64(s.batcher.depth.Load()) })
-		r.GaugeFunc("serenade_batcher_window_seconds", "Configured batch wait window.",
-			func() float64 { return s.batcher.window.Seconds() })
-		r.CounterFunc("serenade_batcher_batches_total", "Kernel batches dispatched (ratio to batched requests = mean batch size).",
-			func() float64 { return float64(s.batcher.batches.Load()) })
-		r.CounterFunc("serenade_batcher_batched_requests_total", "Requests served through the batcher.",
-			func() float64 { return float64(s.batcher.batchedRequests.Load()) })
-		for _, w := range []time.Duration{10 * time.Second, time.Minute} {
-			w := w
-			r.GaugeFunc("serenade_batcher_wait_max_seconds", "Worst batcher queue wait any request ate, per rolling window.",
-				func() float64 { return time.Duration(s.batchWaitMax.Max(w)).Seconds() }, "window", w.String())
-		}
-	}
 
 	r.Histogram("serenade_request_latency_seconds", "End-to-end request latency.", s.requests)
 	for i := range s.stages {
@@ -628,18 +570,12 @@ func (s *Server) Track(req TrackRequest) (TrackResponse, bool) {
 }
 
 // Health assembles the replica's overload telemetry snapshot: in-flight
-// requests, batcher pressure, cache effectiveness, burn state, and runtime
-// pressure. It is the payload of GET /debug/health and the per-backend
+// requests, cache effectiveness, burn state, and runtime pressure. It is the payload of GET /debug/health and the per-backend
 // sections of the cluster proxy's /proxy/health.
 func (s *Server) Health() obs.HealthSignal {
 	h := obs.HealthSignal{
 		Time:     s.cfg.Now(),
 		InFlight: s.inflight.Load(),
-	}
-	if s.batcher != nil {
-		h.BatchQueueDepth = int(s.batcher.depth.Load())
-		h.BatchWaitMax10s = time.Duration(s.batchWaitMax.Max(10 * time.Second))
-		h.BatchWaitMax1m = time.Duration(s.batchWaitMax.Max(time.Minute))
 	}
 	if s.cache != nil {
 		if lookups, absorbed, _ := s.cacheWin.Sum(10 * time.Second); lookups > 0 {
@@ -674,7 +610,7 @@ func (s *Server) FlushSlowLog() { s.tracer.FlushSlowLog() }
 // index, which (when Config.OwnIndex is set) is closed — unmapping a
 // file-backed index — only once those requests drain.
 func (s *Server) SwapIndex(idx *core.Index) error {
-	gen, err := newGeneration(idx, s.cfg.Params, s.cfg.FallbackToPopular, s.cfg.OwnIndex, s.cfg.batchMax())
+	gen, err := newGeneration(idx, s.cfg.Params, s.cfg.FallbackToPopular, s.cfg.OwnIndex)
 	if err != nil {
 		return fmt.Errorf("serving: swapping index: %w", err)
 	}
@@ -700,13 +636,9 @@ func (s *Server) RecordIndexLoad(d time.Duration) {
 // Index returns the currently active index.
 func (s *Server) Index() *core.Index { return s.active.Load().idx }
 
-// Close releases the batcher, the session store, the idempotency table, and
-// (when the server owns its index, Config.OwnIndex) the active index
-// generation.
+// Close releases the session store, the idempotency table, and (when the
+// server owns its index, Config.OwnIndex) the active index generation.
 func (s *Server) Close() error {
-	if s.batcher != nil {
-		s.batcher.close()
-	}
 	if s.dedupe != nil {
 		s.dedupe.Close()
 	}
@@ -784,10 +716,17 @@ func (s *Server) Recommend(req Request) (Response, error) {
 	return resp, err
 }
 
-// recommend is the traced request body. Stage attribution uses contiguous
-// cuts — every segment between span start and the last cut lands in some
-// stage — so a trace's stage durations account for (nearly all of) its
-// total and tail latency is attributable, not mysterious.
+// recommend is the traced request body, one pipeline on every path. Each
+// cut bills the time since the previous cut to one stage, so the stages
+// partition the span up to its last cut:
+//
+//	store       session read + update (delete, without consent)
+//	candidates  result-cache lookup, when enabled, and NeighborSessions
+//	score       ScoreNeighbors, or the copy of a cached prediction
+//	filter      business rules, popularity padding, exposure record
+//
+// A cache hit or coalesced wait runs no kernel: its candidates stage stays
+// empty and its lookup lands in score.
 func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response, error) {
 	if s.cfg.Trending != nil {
 		s.cfg.Trending.Observe(req.Item, 1)
@@ -816,41 +755,18 @@ func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response,
 	// Over-fetch so that business-rule filtering can still fill the slot.
 	slot := 2*s.cfg.Recommendations + 1
 
+	// The raw prediction is a copy in the request scratch, so the business
+	// rules below may edit it in place.
 	var out []core.ScoredItem
-	if s.cache != nil || s.batcher != nil {
-		// Batched/cached path: the raw prediction arrives as a caller-owned
-		// copy (cache hits, coalesced waits and batch lanes all hand out
-		// private slices), so the business rules below may edit it in place.
-		// Time queued in the batcher's wait window is split out of the
-		// elapsed segment into batch_wait; the remainder — kernel work plus
-		// any cache coalescing — lands in score (the candidates/score split
-		// only exists on the unbatched path).
-		raw, wait := s.predictShared(sp, predictFrom, slot, sc)
-		if wait > 0 {
-			sp.CutSplit(obs.StageBatchWait, wait, obs.StageScore)
-		} else {
-			sp.Cut(obs.StageScore)
-		}
-		out = s.applyRules(req.Item, raw)
-		if len(out) > s.cfg.Recommendations {
-			out = out[:s.cfg.Recommendations]
-		}
+	if s.cache != nil {
+		out = s.predictCached(sp, predictFrom, slot, sc)
 	} else {
-		gen := s.acquireGen()
-		rec := gen.pool.Get().(*core.Recommender)
-		neighbors := rec.NeighborSessions(predictFrom)
-		sp.Cut(obs.StageCandidates)
-		raw := rec.ScoreNeighbors(neighbors, slot)
-		sp.Cut(obs.StageScore)
-		items := s.applyRules(req.Item, raw)
-		if len(items) > s.cfg.Recommendations {
-			items = items[:s.cfg.Recommendations]
-		}
-		// Copy out of the recommender's reusable buffers before pooling it.
-		out = append(sc.items[:0], items...)
-		sc.items = out
-		gen.pool.Put(rec)
-		gen.release()
+		out, _ = s.predict(sp, predictFrom, slot, sc)
+	}
+	sp.Cut(obs.StageScore)
+	out = s.applyRules(req.Item, out)
+	if len(out) > s.cfg.Recommendations {
+		out = out[:s.cfg.Recommendations]
 	}
 	gen := s.active.Load()
 	padApplied := false
@@ -880,16 +796,30 @@ func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response,
 	return resp, nil
 }
 
-// predictShared computes the raw (uncut, pre-business-rules) prediction via
-// the result cache and/or the request batcher, returning a slice the caller
-// owns and may mutate plus the time the request spent queued in the batcher.
-// It annotates sp with the cache outcome and records the lookup into the
+// predict is the one place the serving layer runs the kernel: neighbour
+// selection, cut as candidates, then item scoring on a pooled recommender of
+// the active generation (the caller cuts score). The result is copied into
+// the request scratch, so the caller owns it; the second result is the
+// generation that served it.
+func (s *Server) predict(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) ([]core.ScoredItem, uint64) {
+	gen := s.acquireGen()
+	rec := gen.pool.Get().(*core.Recommender)
+	neighbors := rec.NeighborSessions(predictFrom)
+	sp.Cut(obs.StageCandidates)
+	out := append(sc.items[:0], rec.ScoreNeighbors(neighbors, slot)...)
+	sc.items = out
+	gen.pool.Put(rec)
+	seq := gen.seq
+	gen.release()
+	return out, seq
+}
+
+// predictCached answers from the single-flight result cache: a hit or a
+// coalesced wait copies the cached prediction, while a leader — or a waiter
+// whose leader abandoned the entry — runs predict. It
+// annotates sp with the cache outcome and records the lookup into the
 // rolling hit-ratio window.
-func (s *Server) predictShared(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) ([]core.ScoredItem, time.Duration) {
-	if s.cache == nil {
-		items, _, wait := s.predictBatched(sp, predictFrom, slot, sc)
-		return items, wait
-	}
+func (s *Server) predictCached(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) []core.ScoredItem {
 	genSeq := s.active.Load().seq
 	key := appendCacheKey(sc.key[:0], s.kernelTail(predictFrom), slot, genSeq)
 	sc.key = key
@@ -902,14 +832,14 @@ func (s *Server) predictShared(sp *obs.Span, predictFrom []sessions.ItemID, slot
 			sp.AddFlags(obs.FlagCacheWaiter)
 		}
 		<-e.done
-		if e.items != nil {
-			out := append(sc.items[:0], e.items...)
-			sc.items = out
-			return out, 0
+		if e.items == nil {
+			// The leader abandoned the entry; compute independently.
+			out, _ := s.predict(sp, predictFrom, slot, sc)
+			return out
 		}
-		// The leader abandoned the entry; compute independently.
-		items, _, wait := s.predictBatched(sp, predictFrom, slot, sc)
-		return items, wait
+		out := append(sc.items[:0], e.items...)
+		sc.items = out
+		return out
 	}
 	sp.AddFlags(obs.FlagCacheMiss | obs.FlagCacheLeader)
 	filled := false
@@ -918,13 +848,13 @@ func (s *Server) predictShared(sp *obs.Span, predictFrom []sessions.ItemID, slot
 			s.cache.abandon(key, e)
 		}
 	}()
-	items, usedSeq, wait := s.predictBatched(sp, predictFrom, slot, sc)
+	out, usedSeq := s.predict(sp, predictFrom, slot, sc)
 	// A rollover between key construction and execution means the value
 	// belongs to a different generation than the key names: publish it to
 	// the waiters but do not retain it.
-	s.cache.fill(key, e, items, usedSeq == genSeq)
+	s.cache.fill(key, e, out, usedSeq == genSeq)
 	filled = true
-	return items, wait
+	return out
 }
 
 // boolLane converts a flag to a windowed-counter lane increment.
@@ -933,36 +863,6 @@ func boolLane(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// predictBatched runs the kernel through the batcher when enabled, else
-// directly against a pooled recommender. The returned slice is backed by the
-// request scratch (so the caller owns and may mutate it); the second result
-// is the index generation that served it, the third the batcher queue wait
-// (0 when unbatched).
-func (s *Server) predictBatched(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) ([]core.ScoredItem, uint64, time.Duration) {
-	if s.batcher != nil {
-		job := getBatchJob(predictFrom, slot)
-		s.batcher.submit(job)
-		<-job.done
-		sp.AddFlags(obs.FlagBatched)
-		sp.BatchSize = job.batchSize
-		// Copy out of the job's reusable buffer before recycling it.
-		out := append(sc.items[:0], job.items...)
-		sc.items = out
-		seq, wait := job.genSeq, job.wait
-		putBatchJob(job)
-		return out, seq, wait
-	}
-	gen := s.acquireGen()
-	rec := gen.pool.Get().(*core.Recommender)
-	raw := rec.Recommend(predictFrom, slot)
-	out := append(sc.items[:0], raw...)
-	sc.items = out
-	gen.pool.Put(rec)
-	seq := gen.seq
-	gen.release()
-	return out, seq, 0
 }
 
 // kernelTail truncates an evolving session to the items the kernel actually
@@ -1161,11 +1061,6 @@ type Stats struct {
 	CacheMisses    uint64 `json:"cache_misses,omitempty"`
 	CacheCoalesced uint64 `json:"cache_coalesced,omitempty"`
 	CacheEntries   int    `json:"cache_entries,omitempty"`
-	// Batcher counters (zero when batching is disabled); BatchedRequests /
-	// Batches is the realised mean batch size.
-	Batches         uint64 `json:"batches,omitempty"`
-	BatchedRequests uint64 `json:"batched_requests,omitempty"`
-	BatcherDepth    int64  `json:"batcher_depth,omitempty"`
 	// Stages breaks the request latency down by pipeline stage (stages
 	// with no observations are omitted), attributing tail latency to
 	// session-store access vs index lookup vs scoring vs serialization.
@@ -1198,11 +1093,6 @@ func (s *Server) Stats() Stats {
 		st.CacheMisses = s.cache.misses.Load()
 		st.CacheCoalesced = s.cache.coalesced.Load()
 		st.CacheEntries = s.cache.len()
-	}
-	if s.batcher != nil {
-		st.Batches = s.batcher.batches.Load()
-		st.BatchedRequests = s.batcher.batchedRequests.Load()
-		st.BatcherDepth = s.batcher.depth.Load()
 	}
 	for i := range s.stages {
 		snap := s.stages[i].Snapshot()

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"serenade/internal/core"
 	"serenade/internal/index"
+	"serenade/internal/obs/quality"
 	"serenade/internal/sessions"
 	"serenade/internal/synth"
 	"serenade/internal/trending"
@@ -557,6 +560,75 @@ func TestHTTPBadRequests(t *testing.T) {
 				t.Errorf("status = %d, want 400", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// zeroBody streams left zero bytes without holding them, counting how many
+// the handler consumed.
+type zeroBody struct{ left, read int64 }
+
+func (z *zeroBody) Read(p []byte) (int, error) {
+	if z.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(int64(len(p)), z.left)
+	clear(p[:n])
+	z.left -= n
+	z.read += n
+	return int(n), nil
+}
+
+// TestHTTPBodyCap sends a 64 MiB body to both POST endpoints, once with its
+// length declared and once streamed: each gets 413 after reading at most
+// one byte past maxBodyBytes, no scratch whose body grew past the cap goes
+// back into the pool, and a body of exactly the cap is still served.
+func TestHTTPBodyCap(t *testing.T) {
+	s := testServer(t, Config{Quality: &quality.Options{Variant: "a"}})
+	h := s.Handler()
+	const huge = 64 << 20
+	for _, path := range []string{"/v1/recommend", "/track"} {
+		for _, declared := range []bool{true, false} {
+			body := &zeroBody{left: huge}
+			req := httptest.NewRequest(http.MethodPost, path, body)
+			req.ContentLength = -1
+			if declared {
+				req.ContentLength = huge
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s (declared=%v): status %d, want 413", path, declared, rec.Code)
+			}
+			if body.read > maxBodyBytes+1 {
+				t.Errorf("%s (declared=%v): read %d bytes of the body, cap is %d", path, declared, body.read, maxBodyBytes)
+			}
+		}
+	}
+	var held []*reqScratch
+	for i := 0; i < 64; i++ {
+		sc := getScratch()
+		if cap(sc.body) > maxBodyBytes {
+			t.Fatalf("pooled scratch holds a %d-byte body buffer, cap is %d", cap(sc.body), maxBodyBytes)
+		}
+		held = append(held, sc)
+	}
+	for _, sc := range held {
+		putScratch(sc)
+	}
+
+	valid := `{"session_id":"u","item_id":0}`
+	for _, tc := range []struct {
+		size int
+		want int
+	}{{maxBodyBytes, http.StatusOK}, {maxBodyBytes + 1, http.StatusRequestEntityTooLarge}} {
+		body := valid + strings.Repeat(" ", tc.size-len(valid))
+		req := httptest.NewRequest(http.MethodPost, "/v1/recommend", strings.NewReader(body))
+		req.ContentLength = -1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d", tc.size, rec.Code, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"serenade/internal/core"
 	"serenade/internal/obs"
 	"serenade/internal/obs/slo"
+	"serenade/internal/sessions"
 )
 
 // sloState decodes a /debug/slo endpoint entry.
@@ -86,10 +89,9 @@ func TestDebugSLOOverAndUnderBudget(t *testing.T) {
 }
 
 // TestHealthSignal checks the overload telemetry surface with every
-// contributor enabled: batching, result cache, and the SLO engine.
+// contributor enabled: result cache and the SLO engine.
 func TestHealthSignal(t *testing.T) {
 	s := testServer(t, Config{
-		BatchWindow:         200 * time.Microsecond,
 		ResultCacheSize:     64,
 		SLOLatencyThreshold: time.Nanosecond, // everything burns
 	})
@@ -112,9 +114,6 @@ func TestHealthSignal(t *testing.T) {
 	if h.CacheHitRatio1m <= 0 || h.CacheHitRatio1m > 1 {
 		t.Fatalf("20 identical depersonalised requests should mostly hit: ratio=%v", h.CacheHitRatio1m)
 	}
-	if h.BatchWaitMax1m <= 0 {
-		t.Fatalf("batch wait watermark empty despite batched traffic: %+v", h)
-	}
 	if !h.FastBurn || h.BurnRate < slo.FastBurnRate {
 		t.Fatalf("burn state missing from health: %+v", h)
 	}
@@ -133,56 +132,10 @@ func TestHealthSignal(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"in_flight", "batch_queue_depth", "batch_wait_max_1m_ns", "cache_hit_ratio_1m", "slo_burn_rate", "goroutines"} {
+	for _, key := range []string{"in_flight", "cache_hit_ratio_1m", "slo_burn_rate", "goroutines"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("/debug/health missing %q: %v", key, decoded)
 		}
-	}
-}
-
-// TestBatchWaitStageAttribution checks the batch_wait satellite: time spent
-// in the wait-window batcher shows up as its own stage (instead of silently
-// inflating score), the span carries the batched flag and batch size, and the
-// partition invariant — stages sum to ≈ total — survives the split.
-func TestBatchWaitStageAttribution(t *testing.T) {
-	window := 2 * time.Millisecond
-	s := testServer(t, Config{BatchWindow: window, TraceSampleEvery: 1})
-	if _, err := s.Recommend(Request{SessionKey: "u1", Item: popularItem(), Consent: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A lone request waits out the full gather window, so batch_wait must be
-	// at least that.
-	st := s.Stats()
-	var found bool
-	for _, sg := range st.Stages {
-		if sg.Stage == "batch_wait" {
-			found = true
-			if sg.MeanLatency < window {
-				t.Errorf("batch_wait mean %v < gather window %v", sg.MeanLatency, window)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no batch_wait stage in %+v", st.Stages)
-	}
-
-	spans := s.Tracer().Recent()
-	if len(spans) != 1 {
-		t.Fatalf("got %d traces, want 1", len(spans))
-	}
-	sp := spans[0]
-	if sp.BatchSize != 1 {
-		t.Errorf("batch size = %d, want 1", sp.BatchSize)
-	}
-	if names := sp.Flags.Names(); len(names) == 0 || names[len(names)-1] != "batched" {
-		t.Errorf("span flags = %v, want batched", names)
-	}
-	if sp.Stages[obs.StageBatchWait] < window {
-		t.Errorf("batch_wait stage = %v, want ≥%v", sp.Stages[obs.StageBatchWait], window)
-	}
-	if sum, total := sp.StageSum(), sp.Total; total-sum > total/10 {
-		t.Errorf("stage sum %v misses >10%% of total %v after split", sum, total)
 	}
 }
 
@@ -222,5 +175,104 @@ func TestCacheFlagsInTraces(t *testing.T) {
 	want := []string{"cache_miss", "cache_leader"}
 	if got := payload.Traces[1].Flags; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("first request flags = %v, want %v", got, want)
+	}
+}
+
+// TestStagesPartitionEveryPath pins one stage taxonomy on every serving
+// path: a span's stages sum to its total (up to the bookkeeping after the
+// last cut), a request that ran the kernel bills its neighbour selection to
+// candidates, and a cache hit or coalesced wait, which runs none, bills only
+// the copy to score. The sum is timing: a GC pause or preemption after the
+// last cut leaves a gap no stage owns, so each path gets a few attempts and
+// must partition on one of them.
+func TestStagesPartitionEveryPath(t *testing.T) {
+	plain := testServer(t, Config{TraceSampleEvery: 1})
+	cached := testServer(t, Config{ResultCacheSize: 64, TraceSampleEvery: 1})
+	slot := 2*DefaultRecommendations + 1
+
+	recommend := func(s *Server, key string, item sessions.ItemID, consent bool) obs.Span {
+		t.Helper()
+		if _, err := s.Recommend(Request{SessionKey: key, Item: item, Consent: consent}); err != nil {
+			t.Fatal(err)
+		}
+		return s.Tracer().Recent()[0]
+	}
+	// coalesce parks a request on a cache entry the test leads itself, then
+	// fills the entry with the kernel's answer or abandons it.
+	coalesce := func(key string, item sessions.ItemID, abandon bool) obs.Span {
+		t.Helper()
+		gen := cached.active.Load()
+		ckey := appendCacheKey(nil, []sessions.ItemID{item}, slot, gen.seq)
+		e, outcome := cached.cache.acquire(ckey)
+		if outcome != cacheLead {
+			t.Fatalf("item %d: test could not lead its cache entry", item)
+		}
+		before := cached.cache.coalesced.Load()
+		spans := make(chan obs.Span)
+		go func() {
+			if _, err := cached.Recommend(Request{SessionKey: key, Item: item, Consent: true}); err != nil {
+				t.Error(err)
+			}
+			spans <- cached.Tracer().Recent()[0]
+		}()
+		for cached.cache.coalesced.Load() == before {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if abandon {
+			cached.cache.abandon(ckey, e)
+		} else {
+			rec := gen.pool.Get().(*core.Recommender)
+			cached.cache.fill(ckey, e, rec.Recommend([]sessions.ItemID{item}, slot), true)
+			gen.pool.Put(rec)
+		}
+		return <-spans
+	}
+
+	// Each attempt uses fresh session keys and, on the cached server, a
+	// fresh item, so it takes the same path as the first.
+	paths := []struct {
+		name   string
+		span   func(a int) obs.Span
+		flags  obs.SpanFlags
+		kernel bool
+	}{
+		{"direct", func(a int) obs.Span { return recommend(plain, fmt.Sprint("direct", a), popularItem(), true) }, 0, true},
+		{"depersonalised", func(a int) obs.Span { return recommend(plain, fmt.Sprint("anon", a), popularItem(), false) }, 0, true},
+		{"cache leader", func(a int) obs.Span { return recommend(cached, fmt.Sprint("lead", a), sessions.ItemID(100+a), true) },
+			obs.FlagCacheMiss | obs.FlagCacheLeader, true},
+		{"cache hit", func(a int) obs.Span {
+			recommend(cached, fmt.Sprint("prime", a), sessions.ItemID(150+a), true)
+			return recommend(cached, fmt.Sprint("hit", a), sessions.ItemID(150+a), true)
+		}, obs.FlagCacheHit, false},
+		{"cache waiter", func(a int) obs.Span { return coalesce(fmt.Sprint("wait", a), sessions.ItemID(200+a), false) },
+			obs.FlagCacheWaiter, false},
+		{"abandoned waiter", func(a int) obs.Span { return coalesce(fmt.Sprint("orphan", a), sessions.ItemID(250+a), true) },
+			obs.FlagCacheWaiter, true},
+	}
+	const attempts = 5
+	for _, p := range paths {
+		for a := 0; a < attempts; a++ {
+			sp := p.span(a)
+			if sp.Flags != p.flags {
+				t.Fatalf("%s: flags %v, want %v", p.name, sp.Flags.Names(), p.flags.Names())
+			}
+			for _, st := range []obs.Stage{obs.StageStore, obs.StageScore, obs.StageFilter} {
+				if sp.Stages[st] <= 0 {
+					t.Fatalf("%s: empty %s stage: %v", p.name, st, sp.Stages)
+				}
+			}
+			if ran := sp.Stages[obs.StageCandidates] > 0; ran != p.kernel {
+				t.Fatalf("%s: candidates stage %v, want it non-empty exactly when the kernel ran (%v)",
+					p.name, sp.Stages[obs.StageCandidates], p.kernel)
+			}
+			sum := sp.StageSum()
+			gap := sp.Total - sum
+			if gap >= 0 && gap <= sp.Total/10+20*time.Microsecond {
+				break
+			}
+			if gap < 0 || a == attempts-1 {
+				t.Fatalf("%s: stages sum to %v of total %v: %v", p.name, sum, sp.Total, sp.Stages)
+			}
+		}
 	}
 }
